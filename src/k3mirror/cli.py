@@ -25,6 +25,8 @@ class CommandResult:
     status: str          # "pass" | "fail" | "value"
     payload: object
     elapsed_ms: float
+    pretty: bool = False     # --pretty: render for humans instead of JSON
+    timing: bool = False     # --timing: add elapsed_ms to the JSON
 
 
 def _fail(operation: str, inputs, expected, got) -> dict:
@@ -185,9 +187,14 @@ def _cmd_pf(args) -> tuple[str, object]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the flags are accepted at every level; SUPPRESS keeps a subcommand's
+    # defaults from overwriting a flag given before it, so an absent flag
+    # leaves no attribute at all
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pretty", action="store_true", help="human-readable output")
-    common.add_argument("--timing", action="store_true", help="include elapsed_ms")
+    common.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS,
+                        help="human-readable output")
+    common.add_argument("--timing", action="store_true", default=argparse.SUPPRESS,
+                        help="include elapsed_ms")
     parser = argparse.ArgumentParser(
         prog="k3mirror",
         parents=[common],
@@ -280,24 +287,22 @@ def run(argv) -> tuple[CommandResult | None, int]:
         status, payload = args.func(args)
     except (ValueError, ZeroDivisionError, ArithmeticError,
             picard_fuchs.ToleranceNotMet) as exc:
-        elapsed = (time.perf_counter() - start) * 1000.0
-        result = CommandResult("fail", _fail(args.command, inputs, None, str(exc)),
-                               elapsed)
-        return result, 1
+        status, payload = "fail", _fail(args.command, inputs, None, str(exc))
     elapsed = (time.perf_counter() - start) * 1000.0
-    result = CommandResult(status, payload, elapsed)
+    result = CommandResult(status, payload, elapsed,
+                           pretty=getattr(args, "pretty", False),
+                           timing=getattr(args, "timing", False))
     return result, (0 if status in ("pass", "value") else 1)
 
 
 def main() -> None:
     result, code = run(sys.argv[1:])
     if result is not None:
-        argv = sys.argv[1:]
-        if "--pretty" in argv:
+        if result.pretty:
             print(_render_pretty(result))
         else:
             out = {"status": result.status, "payload": result.payload}
-            if "--timing" in argv:
+            if result.timing:
                 out["elapsed_ms"] = result.elapsed_ms
             print(json.dumps(out))
     sys.exit(code)

@@ -14,10 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from sympy import ZZ, Matrix as _SymMatrix
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.normalforms import smith_normal_decomp
-
 from .lattices import IntLattice, Isometry, bilinear, direct_sum, make_standard, signature
 from .linalg import (
     Mat,
@@ -29,22 +25,8 @@ from .linalg import (
     is_integral,
     mat_mul,
     mat_vec,
+    smith_normal_decomp,
 )
-
-
-def _snf_with_left_transform(gram: Mat):
-    """Return (factors, left, right) with left*gram*right diagonal positive,
-    factors in ascending divisibility order."""
-    m = DomainMatrix.from_Matrix(_SymMatrix([list(r) for r in gram])).convert_to(ZZ)
-    snf, left, right = smith_normal_decomp(m)
-    d = [int(snf.to_Matrix()[i, i]) for i in range(len(gram))]
-    lmat = [[int(x) for x in row] for row in left.to_Matrix().tolist()]
-    rmat = [[int(x) for x in row] for row in right.to_Matrix().tolist()]
-    for i, di in enumerate(d):
-        if di < 0:
-            d[i] = -di
-            lmat[i] = [-x for x in lmat[i]]
-    return tuple(d), freeze_mat(lmat), freeze_mat(rmat)
 
 
 @dataclass(frozen=True)
@@ -84,7 +66,7 @@ class DiscriminantGroup:
 @lru_cache(maxsize=None)
 def discriminant_group(lat: IntLattice) -> DiscriminantGroup:
     """Compute A_L via the Smith normal form of the Gram matrix."""
-    d, left, right = _snf_with_left_transform(lat.gram)
+    d, left, right = smith_normal_decomp(lat.gram)
     lifts = []
     for i, di in enumerate(d):
         if di > 1:

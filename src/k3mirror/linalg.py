@@ -43,14 +43,6 @@ def dot(v: Vec, w: Vec) -> int | Fraction:
     return sum(x * y for x, y in zip(v, w))
 
 
-def scale_mat(c, a: Mat) -> Mat:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def neg_mat(a: Mat) -> Mat:
-    return scale_mat(-1, a)
-
-
 def block_diag(a: Mat, b: Mat) -> Mat:
     na, nb = len(a), len(b)
     rows = [tuple(a[i]) + (0,) * nb for i in range(na)]
@@ -118,9 +110,137 @@ def is_integral(a) -> bool:
     return all(Fraction(x).denominator == 1 for x in a)
 
 
-def as_int_mat(a: Mat) -> Mat:
-    return tuple(tuple(int(x) for x in row) for row in a)
+# -- Smith normal form over Z ---------------------------------------------------
+#
+# A plain-int port of sympy 1.14's ``_smith_normal_decomp`` (pure-Python
+# ground types).  It reproduces that routine's transforms exactly, not only
+# its invariants: discriminant-group generators are read off the right
+# transform, so a different but equally valid decomposition would change
+# every printed generator lift.
 
 
-def as_int_vec(v: Vec) -> Vec:
-    return tuple(int(x) for x in v)
+def _gcdex(a: int, b: int) -> tuple[int, int, int]:
+    """(x, y, g) with x*a + y*b = g = gcd(a, b), with the Bezout coefficients
+    of sympy's ``igcdex``: Euclid on |a|, |b| with the signs put back, and
+    (a/g, b/g) when either argument is zero."""
+    if not a or not b:
+        g = abs(a) or abs(b)
+        return (a // g, b // g, g) if g else (0, 0, 0)
+    x_sign, a = (-1, -a) if a < 0 else (1, a)
+    y_sign, b = (-1, -b) if b < 0 else (1, b)
+    x, r, y, s = 1, 0, 0, 1
+    while b:
+        q, c = divmod(a, b)
+        a, b = b, c
+        x, r = r, x - q * r
+        y, s = s, y - q * s
+    return x * x_sign, y * y_sign, a
+
+
+def _add_rows(m: list, i: int, j: int, a: int, b: int, c: int, d: int) -> None:
+    """Rows i, j of m become a*m[i] + b*m[j] and c*m[i] + d*m[j], in place."""
+    ri, rj = m[i], m[j]
+    for k, e in enumerate(ri):
+        ri[k] = a * e + b * rj[k]
+        rj[k] = c * e + d * rj[k]
+
+
+def _add_columns(m: list, i: int, j: int, a: int, b: int, c: int, d: int) -> None:
+    """Columns i, j of m become a*m[:,i] + b*m[:,j] and c*m[:,i] + d*m[:,j]."""
+    for row in m:
+        e = row[i]
+        row[i] = a * e + b * row[j]
+        row[j] = c * e + d * row[j]
+
+
+def _elimination(pivot: int, x: int) -> tuple[tuple[int, int, int, int], int]:
+    """The combination of two rows (or columns) that clears x against the
+    pivot, and the pivot after it: subtract a multiple of the pivot line
+    when pivot | x, else the Bezout combination that leaves gcd(pivot, x)
+    in the pivot position."""
+    d, r = divmod(x, pivot)
+    if not r:
+        return (1, 0, -d, 1), pivot
+    a, b, g = _gcdex(pivot, x)
+    return (a, b, x // g, -(pivot // g)), g
+
+
+def _eye(n: int) -> list:
+    return [list(row) for row in identity(n)]
+
+
+def _snf(m: list, rows: int, cols: int) -> tuple[tuple[int, ...], list, list]:
+    """Invariants and transforms of the rows x cols list matrix m (consumed)."""
+    if not rows or not cols:
+        return (), _eye(rows), _eye(cols)
+    s, t = _eye(rows), _eye(cols)
+
+    # bring a nonzero entry to m[0][0]: first from column 0, else from row 0
+    i = next((i for i in range(rows) if m[i][0]), None)
+    if i:
+        m[0], m[i] = m[i], m[0]
+        s[0], s[i] = s[i], s[0]
+    elif i is None:
+        j = next((j for j in range(cols) if m[0][j]), None)
+        if j:
+            for row in m + t:
+                row[0], row[j] = row[j], row[0]
+
+    # clear row 0 and column 0 except the pivot, alternately
+    while any(m[0][1:]) or any(m[i][0] for i in range(1, rows)):
+        pivot = m[0][0]
+        for j in range(1, rows):
+            if m[j][0]:
+                ops, pivot = _elimination(pivot, m[j][0])
+                _add_rows(m, 0, j, *ops)
+                _add_rows(s, 0, j, *ops)
+        pivot = m[0][0]
+        for j in range(1, cols):
+            if m[0][j]:
+                ops, pivot = _elimination(pivot, m[0][j])
+                _add_columns(m, 0, j, *ops)
+                _add_columns(t, 0, j, *ops)
+
+    if m[0][0] < 0:
+        m[0][0] = -m[0][0]
+        s[0] = [-x for x in s[0]]
+
+    invs: tuple[int, ...] = ()
+    if rows > 1 and cols > 1:
+        invs, s_small, t_small = _snf([r[1:] for r in m[1:]], rows - 1, cols - 1)
+        s = [s[0]] + [list(row) for row in mat_mul(s_small, s[1:])]
+        t_cols = transpose(t_small)
+        t = [[row[0], *mat_vec(t_cols, row[1:])] for row in t]
+
+    if not m[0][0]:
+        if rows > 1:
+            s = s[1:] + [s[0]]
+        if cols > 1:
+            t = [row[1:] + [row[0]] for row in t]
+        return invs + (0,), s, t
+
+    result = [m[0][0], *invs]
+    # the pivot need not divide the invariants of the rest of the matrix
+    for i in range(len(result) - 1):
+        a, b = result[i], result[i + 1]
+        if not b or not b % a:
+            break
+        x, y, d = _gcdex(a, b)
+        alpha, beta = a // d, b // d
+        _add_rows(s, i, i + 1, 1, 0, x, 1)
+        _add_columns(t, i, i + 1, 1, y, 0, 1)
+        _add_rows(s, i, i + 1, 1, -alpha, 0, 1)
+        _add_columns(t, i, i + 1, 1, 0, -beta, 1)
+        _add_rows(s, i, i + 1, 0, 1, -1, 0)
+        result[i], result[i + 1] = d, b * alpha
+    return tuple(result), s, t
+
+
+def smith_normal_decomp(a: Mat) -> tuple[tuple[int, ...], Mat, Mat]:
+    """(invariants, s, t) with s * a * t = diag(invariants) for an integer
+    matrix a, s and t unimodular; the nonzero invariants are positive, divide
+    each other in order, and come before the zeros."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    invs, s, t = _snf([[int(x) for x in row] for row in a], rows, cols)
+    return invs, freeze_mat(s), freeze_mat(t)

@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from sympy import primefactors
-
 from .discriminant import (
     construct_mirror_embedding,
     cyclic_disc_isometry_count,
@@ -209,7 +207,14 @@ def _distinct_prime_count(n: int) -> int:
     """Number of distinct primes dividing n, with the convention p(1) = 1."""
     if n == 1:
         return 1
-    return len(primefactors(n))
+    count, p = 0, 2
+    while p * p <= n:
+        if n % p == 0:
+            count += 1
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    return count + (n > 1)
 
 
 def fm_partner_count(degree: int) -> int:

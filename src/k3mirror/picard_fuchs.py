@@ -21,9 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-from scipy.integrate import solve_ivp
-
 from .series import LogSeries, RationalSeries, poly
 
 SINGULAR_POINTS = (Fraction(0), Fraction(1, 36), Fraction(1, 4))
@@ -321,6 +318,24 @@ def dform_coefficients() -> tuple[tuple[int, ...], ...]:
 
 
 # -- numeric monodromy ----------------------------------------------------------
+#
+# numpy and scipy make up most of the package's import time and only the
+# floating-point transport needs them: numpy is imported by the first
+# numeric_monodromy call, scipy by the first integration.
+
+
+def _import_numpy() -> None:
+    global np
+    import numpy as np
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use.  The transport calls
+    the integrator through this module-level name, so a replacement bound
+    here from outside is what runs."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
+
 
 @dataclass(frozen=True)
 class MonodromyResult:
@@ -449,6 +464,7 @@ def numeric_monodromy(point, basepoint=Fraction(1, 100), tol: float = 1e-6) -> M
     order = max(48, int(20 / -math.log10(36 * bf)) + 14)
     if order > 400:
         raise ValueError("basepoint too close to the convergence boundary at 1/36")
+    _import_numpy()
     w = _frobenius_initial_matrix(order, bf)
 
     def loop_matrix(legs):

@@ -1,8 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 
-from k3mirror.cli import run
+import pytest
+
+import k3mirror
+from k3mirror.cli import main, run
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(k3mirror.__file__)))
 
 
 def invoke(*argv):
@@ -115,3 +121,73 @@ def test_cli_pretty_and_timing():
     cmd = [sys.executable, "-m", "k3mirror.cli", "fm-partners", "12", "--timing"]
     parsed = json.loads(subprocess.run(cmd, capture_output=True, check=True).stdout)
     assert "elapsed_ms" in parsed
+
+
+@pytest.mark.parametrize("argv", [
+    ("--timing", "fm-partners", "12"),
+    ("fm-partners", "12", "--timing"),
+    ("--timing", "pf", "series", "--order", "5"),
+    ("pf", "--timing", "series", "--order", "5"),
+    ("pf", "series", "--order", "5", "--timing"),
+])
+def test_timing_flag_before_or_after_subcommand(argv):
+    result, code = invoke(*argv)
+    assert code == 0
+    assert result.timing and not result.pretty
+
+
+def test_flags_default_off():
+    result, code = invoke("pf", "series", "--order", "5")
+    assert code == 0
+    assert not result.timing and not result.pretty
+
+
+def test_main_renders_from_parsed_flags(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["k3mirror", "--timing", "fm-partners", "12"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert list(parsed) == ["status", "payload", "elapsed_ms"]
+    monkeypatch.setattr(sys, "argv", ["k3mirror", "--pretty", "pf", "series", "--order", "5"])
+    with pytest.raises(SystemExit):
+        main()
+    assert capsys.readouterr().out.startswith("status: value\n")
+
+
+# A fresh interpreter imports k3mirror, optionally runs one CLI call, and
+# reports its exit code and which heavy third-party packages got loaded.
+_PROBE = """
+import json, sys
+import k3mirror
+code = 0
+if sys.argv[1:]:
+    from k3mirror.cli import run
+    code = run(sys.argv[1:])[1]
+print(json.dumps({"code": code,
+                  "loaded": [m for m in ("numpy", "scipy", "sympy") if m in sys.modules]}))
+"""
+
+
+def _probe(*argv):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=path))
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("fm-partners", "12"),
+    ("disc", "U_plus_Mn", "--n=6"),
+    ("verify-table1",),
+    ("verify-glue", "--n=6"),
+    ("pf", "mirror-map", "--order=10"),
+], ids=lambda argv: " ".join(argv) or "import")
+def test_exact_paths_leave_numeric_stack_unloaded(argv):
+    assert _probe(*argv) == {"code": 0, "loaded": []}
+
+
+def test_monodromy_loads_numpy_and_scipy_only():
+    assert _probe("pf", "monodromy", "--point=1/36") == {"code": 0,
+                                                         "loaded": ["numpy", "scipy"]}

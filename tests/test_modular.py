@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from sympy import primefactors
 
 from k3mirror.discriminant import in_kernel_star
 from k3mirror.lattices import Isometry, is_isometry
@@ -13,6 +14,7 @@ from k3mirror.modular import (
     F_map,
     R_map,
     SOMatrix,
+    _distinct_prime_count,
     compose,
     fm_partner_count,
     fricke,
@@ -164,6 +166,12 @@ def test_fm_partner_count():
         fm_partner_count(0)
     with pytest.raises(ValueError):
         fm_partner_count(-4)
+
+
+def test_distinct_prime_count_matches_sympy():
+    assert _distinct_prime_count(1) == 1      # the p(1) = 1 convention
+    for n in range(2, 10 ** 4 + 1):
+        assert _distinct_prime_count(n) == len(primefactors(n))
 
 
 def test_monodromy_index():
