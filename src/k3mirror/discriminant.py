@@ -130,7 +130,6 @@ class GlueData:
     left: IntLattice
     right: IntLattice
     sub: IntLattice
-    sub_basis: Mat
     over_basis: Mat
     over_basis_inv: Mat
     overlattice: IntLattice
@@ -169,7 +168,7 @@ def construct_mirror_embedding(n: int) -> GlueData:
         raise ArithmeticError("overlattice is not even unimodular")
     if signature(overlattice) != (4, 20):
         raise ArithmeticError("overlattice has the wrong signature")
-    return GlueData(left=left, right=right, sub=sub, sub_basis=identity(rank),
+    return GlueData(left=left, right=right, sub=sub,
                     over_basis=over_basis, over_basis_inv=over_inv,
                     overlattice=overlattice, glue_vector=glue, index=2 * n)
 

@@ -19,11 +19,16 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cache
+from math import comb, lcm
 
 from .series import LogSeries, RationalSeries, poly
 
 SINGULAR_POINTS = (Fraction(0), Fraction(1, 36), Fraction(1, 4))
+
+# the largest series order the exact routines accept; the work grows like a
+# power of the order, so a larger request is refused before any of it starts
+MAX_ORDER = 1000
 
 # theta-polynomial coefficients (low degree first) of the x^0, x^1, x^2 parts
 _Q = (
@@ -71,36 +76,44 @@ def _polyval(q: tuple[int, ...], n: int) -> int:
     return sum(c * n ** i for i, c in enumerate(q))
 
 
-def _polyderiv(q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(i * q[i] for i in range(1, len(q))) or (0,)
+def _check_order_cap(order: int) -> None:
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds the maximum {MAX_ORDER}")
 
 
 def pi_series(order: int) -> RationalSeries:
     """The analytic period: coefficient of x^N is
-    sum_{k+l+m=N} (2N)!/(k! l! m!)^2, computed by the multinomial form."""
+    sum_{k+l+m=N} (2N)!/(k! l! m!)^2, computed by the multinomial form with
+    the sum over l collapsed by Vandermonde's identity,
+    sum_l C(N-k, l)^2 = C(2(N-k), N-k)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
+    _check_order_cap(order)
+    central = [comb(2 * j, j) for j in range(order + 1)]
     out = []
     for n in range(order + 1):
-        tot = 0
-        for k in range(n + 1):
-            for l in range(n - k + 1):
-                mult = comb(n, k) * comb(n - k, l)
-                tot += mult * mult
-        out.append(comb(2 * n, n) * tot)
+        tot = sum(comb(n, k) ** 2 * central[n - k] for k in range(n + 1))
+        out.append(central[n] * tot)
     return RationalSeries(out)
 
 
 def pi_series_by_recurrence(order: int) -> RationalSeries:
     """The same coefficients from the three-term recurrence
     N^3 a_N = 2(2N-1)(10N^2-10N+3) a_{N-1} - 36(N-1)(2N-3)(2N-1) a_{N-2}."""
+    _check_order_cap(order)
+    return RationalSeries(_pi_coeffs(order))
+
+
+def _pi_coeffs(order: int) -> list[Fraction]:
+    # no order cap here: the Schwarzian checks expand t' ten orders past the
+    # order asked for, so their working order may exceed MAX_ORDER
     a = [Fraction(1)]
     for n in range(1, order + 1):
         v = 2 * (2 * n - 1) * (10 * n * n - 10 * n + 3) * a[n - 1]
         if n >= 2:
             v -= 36 * (n - 1) * (2 * n - 3) * (2 * n - 1) * a[n - 2]
         a.append(Fraction(v, n ** 3))
-    return RationalSeries(a)
+    return a
 
 
 def _log_partner_coeffs(a, lower_pairs):
@@ -119,7 +132,7 @@ def _log_partner_coeffs(a, lower_pairs):
                 if n - j >= 0:
                     q = _Q[j]
                     for _ in range(derivs):
-                        q = _polyderiv(q)
+                        q = _pderiv(q)
                     s += weight * _polyval(q, n - j) * coeffs[n - j]
         b.append(Fraction(-s, n ** 3))
     return b
@@ -137,7 +150,8 @@ def frobenius_basis(order: int):
     """
     if order < 4:
         raise ValueError("order must be at least 4")
-    a = list(pi_series_by_recurrence(order).coeffs)
+    _check_order_cap(order)
+    a = _pi_coeffs(order)
     b = _log_partner_coeffs(a, [(1, a, 1)])
     c = _log_partner_coeffs(a, [(1, a, 2), (2, b, 1)])
     pi = RationalSeries(a)
@@ -160,13 +174,18 @@ class MirrorMap:
     x_of_q: RationalSeries
 
 
+def _log_shift(order: int) -> RationalSeries:
+    """g1/Pi through x^order, so that log x + g1/Pi is 2 pi i t."""
+    a = _pi_coeffs(order)
+    return RationalSeries(_log_partner_coeffs(a, [(1, a, 1)])) / RationalSeries(a)
+
+
 def mirror_map(order: int) -> MirrorMap:
     """Exact mirror map data through the given order; x_of_q = q + O(q^2)."""
     if order < 4:
         raise ValueError("order must be at least 4")
-    a = pi_series_by_recurrence(order)
-    b = RationalSeries(_log_partner_coeffs(list(a.coeffs), [(1, list(a.coeffs), 1)]))
-    h = b / a
+    _check_order_cap(order)
+    h = _log_shift(order)
     q_of_x = h.exp().shift(1)          # q = x exp(g1/Pi)
     x_of_q = q_of_x.revert()
     return MirrorMap(log_shift=h, x_of_q=x_of_q)
@@ -200,11 +219,8 @@ def _t_prime(order: int) -> RationalSeries:
     """(2 pi i) t' = 1/x + (g1/Pi)' as an exact Laurent series; the constant
     2 pi i drops out of every Schwarzian."""
     work = order + 10
-    a = pi_series_by_recurrence(work)
-    b = RationalSeries(_log_partner_coeffs(list(a.coeffs), [(1, list(a.coeffs), 1)]))
-    g = b / a
     inv_x = RationalSeries([1] + [0] * work, -1)
-    return inv_x + g.deriv()
+    return inv_x + _log_shift(work).deriv()
 
 
 def _schwarzian_of(tp: RationalSeries) -> RationalSeries:
@@ -221,6 +237,7 @@ def schwarzian_check(order: int) -> SeriesCheck:
     1 - 52x + 1500x^2 - 6048x^3 + 15552x^4, through the given order."""
     if order < 8:
         raise ValueError("order must be at least 8")
+    _check_order_cap(order)
     schw = _schwarzian_of(_t_prime(order))
     w = schw.top
     weight = poly((0, 0, 2), top=w)
@@ -235,6 +252,19 @@ def schwarzian_check(order: int) -> SeriesCheck:
     return SeriesCheck(True, order)
 
 
+def _standard_chart(s: RationalSeries, top: int) -> RationalSeries:
+    """s(x(z)) / (1 - z/4)^2 through z^top, for a power series s and the chart
+    x(z) = (z/48)/(1 - z/4).  As x^k / (1 - z/4)^2 = (z/48)^k (1 - z/4)^-(k+2),
+    the coefficient of z^m is sum_k s_k C(m+1, k+1) / (12^k 4^m); the sum runs
+    on integer numerators over one common denominator."""
+    scaled = [s.coeff(k) / 12 ** k for k in range(top + 1)]
+    d = lcm(*(c.denominator for c in scaled))
+    nums = [c.numerator * (d // c.denominator) for c in scaled]
+    return RationalSeries([
+        Fraction(sum(nums[k] * comb(m + 1, k + 1) for k in range(m + 1)), d * 4 ** m)
+        for m in range(top + 1)])
+
+
 def standard_form_check(order: int) -> SeriesCheck:
     """Expand {t,z} around z = 0 in the chart z = 48x/(12x+1) and compare with
     sum_i [ (1/2)(1-alpha_i^2)/(z-a_i)^2 + beta_i/(z-a_i) ] for the points
@@ -242,15 +272,10 @@ def standard_form_check(order: int) -> SeriesCheck:
     the Schwarzian cocycle."""
     if order < 8:
         raise ValueError("order must be at least 8")
-    work = order + 10
-    schw = _schwarzian_of(_t_prime(work))
-    s_reg = schw.shift(2)                      # x^2 {t,x}, a power series
-    # x(z) = z/(48 - 12 z) and dx/dz = 48/(48 - 12 z)^2, exact expansions
-    x_of_z = RationalSeries([Fraction(1, 48 * 4 ** (k - 1)) for k in range(1, work + 1)], 1)
-    dx_dz = RationalSeries([Fraction(k + 1, 48 * 4 ** k) for k in range(0, work + 1)], 0)
-    comp = s_reg.compose(x_of_z)
-    front = poly((48, -12), top=comp.top)
-    lhs = front * front * comp * dx_dz * dx_dz   # = z^2 {t,z}
+    _check_order_cap(order)
+    schw = _schwarzian_of(_t_prime(order))
+    # z^2 {t,z} = (z/x)^2 (dx/dz)^2 x^2 {t,x}, and (z/x)(dx/dz) = 1/(1 - z/4)
+    lhs = _standard_chart(schw.shift(2), order)
     rhs = [Fraction(0)] * (order + 1)
     rhs[0] += Fraction(1, 2) * (1 - _STANDARD_ALPHA[0] ** 2)
     rhs[1] += _STANDARD_BETA[0]
@@ -286,6 +311,7 @@ def _pscale(c, p):
     return tuple(c * x for x in p)
 
 
+@cache
 def dform_coefficients() -> tuple[tuple[int, ...], ...]:
     """Polynomial coefficients (p0, p1, p2, p3) with the operator written as
     p3(x) y''' + p2(x) y'' + p1(x) y' + p0(x) y; derived from the theta form

@@ -12,6 +12,8 @@ never lost on differentiation in theta form, and division requires a unit
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 
 class RationalSeries:
@@ -186,18 +188,26 @@ class RationalSeries:
         return RationalSeries(out, 0)
 
     def revert(self) -> "RationalSeries":
-        """Compositional inverse of a series x + O(x^2)."""
+        """Compositional inverse of a series x + O(x^2), by Lagrange inversion.
+
+        With f = x u, the inverse has [q^k] = (1/k) [x^(k-1)] u^(-k).  The
+        powers of w = 1/u are taken on the integers W = d w, d the lcm of the
+        denominators of w, so the O(N^3) inner work is plain int arithmetic.
+        """
         f = self.strip()
         if f.lead != 1 or f.coeffs[0] != 1:
             raise ValueError("reversion needs a series of the form x + O(x^2)")
-        top = f.top
-        g = RationalSeries([Fraction(0), Fraction(1)] + [Fraction(0)] * (top - 1), 0)
-        for k in range(2, top + 1):
-            err = self.compose(g).coeff(k)
-            coeffs = list(g.coeffs)
-            coeffs[k] -= err
-            g = RationalSeries(coeffs, 0)
-        return g.strip()
+        n = len(f.coeffs)
+        u = RationalSeries(f.coeffs)                     # f / x
+        w = (RationalSeries([1] + [0] * (n - 1)) / u).coeffs
+        d = lcm(*(c.denominator for c in w))
+        big_w = [c.numerator * (d // c.denominator) for c in w]
+        power = [1] + [0] * (n - 1)
+        out = []
+        for k in range(1, n + 1):
+            power = [sum(map(mul, power[:m + 1], reversed(big_w[:m + 1]))) for m in range(n)]
+            out.append(Fraction(power[k - 1], k * d ** k))
+        return RationalSeries(out, 1)
 
     # -- numeric evaluation -------------------------------------------------
 

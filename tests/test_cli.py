@@ -191,3 +191,11 @@ def test_exact_paths_leave_numeric_stack_unloaded(argv):
 def test_monodromy_loads_numpy_and_scipy_only():
     assert _probe("pf", "monodromy", "--point=1/36") == {"code": 0,
                                                          "loaded": ["numpy", "scipy"]}
+
+
+@pytest.mark.parametrize("op", ["series", "schwarzian", "standard-form", "mirror-map"])
+def test_pf_oversized_order_fails_fast(op):
+    result, code = invoke("pf", op, "--order", "3000000000")
+    assert code == 1 and result.status == "fail"
+    assert "exceeds the maximum" in result.payload["got"]
+    assert result.elapsed_ms < 1000

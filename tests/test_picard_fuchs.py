@@ -2,12 +2,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3mirror.picard_fuchs import (
+    MAX_ORDER,
     SINGULAR_POINTS,
     ToleranceNotMet,
     ThetaOperator,
+    _companion,
     _schwarzian_of,
+    _standard_chart,
     _t_prime,
     apply_operator,
     dform_coefficients,
@@ -21,7 +25,7 @@ from k3mirror.picard_fuchs import (
     standard_form_check,
     z_of_x,
 )
-from k3mirror.series import poly
+from k3mirror.series import RationalSeries, poly
 
 TOL = 1e-6
 
@@ -203,3 +207,44 @@ def test_monodromy_basepoint_shift_keeps_invariants():
     res = numeric_monodromy(Fraction(1, 36), basepoint=Fraction(1, 50), tol=TOL)
     assert res.order2_residual < TOL
     assert abs(res.det - (-1.0)) < TOL
+
+
+def test_pi_oracles_agree_through_400():
+    assert pi_series(400).eq_through(pi_series_by_recurrence(400), 400)
+
+
+def _standard_chart_by_composition(s, top):
+    """The former chart change: substitute x(z) = z/(48 - 12z) by Horner and
+    multiply by (48 - 12z)^2 (dx/dz)^2."""
+    x_of_z = RationalSeries([Fraction(1, 48 * 4 ** (k - 1)) for k in range(1, top + 1)], 1)
+    dx_dz = RationalSeries([Fraction(k + 1, 48 * 4 ** k) for k in range(0, top + 1)], 0)
+    comp = s.compose(x_of_z)
+    front = poly((48, -12), top=comp.top)
+    return front * front * comp * dx_dz * dx_dz
+
+
+@settings(max_examples=60)
+@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30),
+                min_size=2, max_size=16))
+def test_standard_chart_matches_composition(coeffs):
+    s = RationalSeries(coeffs)
+    top = s.top
+    assert _standard_chart(s, top).eq_through(_standard_chart_by_composition(s, top), top)
+
+
+def test_companion_uses_dform_literals():
+    literal = ((0, -6, 108), (0, 1, -132, 972), (0, 0, 3, -180, 864), (0, 0, 0, 1, -40, 144))
+    assert dform_coefficients() == literal
+    for x in (0.01 + 0.0j, 0.25 + 0.05j, 1 / 36 - 1 / 72 + 1e-3j):
+        p0, p1, p2, p3 = (np.polyval(p[::-1], x) for p in literal)
+        want = np.array([[0, 1, 0], [0, 0, 1], [-p0 / p3, -p1 / p3, -p2 / p3]])
+        assert np.array_equal(_companion(x), want)
+
+
+@pytest.mark.parametrize("func", [pi_series, pi_series_by_recurrence, frobenius_basis,
+                                  mirror_map, schwarzian_check, standard_form_check])
+def test_orders_above_max_order_are_refused(func):
+    with pytest.raises(ValueError, match="exceeds the maximum"):
+        func(MAX_ORDER + 1)
+    with pytest.raises(ValueError, match="exceeds the maximum"):
+        func(3_000_000_000)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from k3mirror.picard_fuchs import mirror_map
 from k3mirror.series import LogSeries, RationalSeries, geometric, poly
 
 coeff_lists = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
@@ -141,3 +142,43 @@ def test_truncate_clips_to_zero():
     s = RationalSeries([5, 5], lead=3)
     t = s.truncate(1)
     assert t.is_zero_through(1)
+
+
+def _revert_by_fixed_point(f):
+    """The former reversion, kept as a reference: one full composition per
+    coefficient, correcting g until f(g(q)) = q."""
+    top = f.strip().top
+    g = RationalSeries([Fraction(0), Fraction(1)] + [Fraction(0)] * (top - 1), 0)
+    for k in range(2, top + 1):
+        err = f.compose(g).coeff(k)
+        coeffs = list(g.coeffs)
+        coeffs[k] -= err
+        g = RationalSeries(coeffs, 0)
+    return g.strip()
+
+
+# x + c_2 x^2 + ... + c_top x^top, with top 1..12, non-integral rational
+# coefficients and exact zeros in between; lead 0 adds an exact constant zero
+monic_valuation_one = st.builds(
+    lambda rest, lead: RationalSeries([0] * (1 - lead) + [1] + rest, lead),
+    st.lists(st.one_of(st.just(Fraction(0)),
+                       st.fractions(min_value=-7, max_value=7, max_denominator=9)),
+             min_size=0, max_size=11),
+    st.sampled_from((0, 1)))
+
+
+@given(monic_valuation_one)
+def test_revert_matches_fixed_point_reference(f):
+    g = f.revert()
+    ref = _revert_by_fixed_point(f)
+    assert (g.lead, g.coeffs) == (ref.lead, ref.coeffs)
+    x = poly((0, 1), top=g.top)
+    assert f.compose(g).eq_through(x, g.top)
+    assert g.compose(f).eq_through(x, g.top)
+
+
+def test_mirror_map_integral_and_inverse_through_60():
+    mm = mirror_map(60)
+    assert all(mm.x_of_q.coeff(k).denominator == 1 for k in range(61))
+    q_of_x = mm.log_shift.exp().shift(1)
+    assert q_of_x.compose(mm.x_of_q).eq_through(poly((0, 1), top=60), 60)
