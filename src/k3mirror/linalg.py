@@ -39,10 +39,6 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def dot(v: Vec, w: Vec) -> int | Fraction:
-    return sum(x * y for x, y in zip(v, w))
-
-
 def block_diag(a: Mat, b: Mat) -> Mat:
     na, nb = len(a), len(b)
     rows = [tuple(a[i]) + (0,) * nb for i in range(na)]

@@ -73,7 +73,14 @@ def apply_operator(op: ThetaOperator, s: LogSeries | RationalSeries):
 
 
 def _polyval(q: tuple[int, ...], n: int) -> int:
-    return sum(c * n ** i for i, c in enumerate(q))
+    acc = 0
+    for c in reversed(q):
+        acc = acc * n + c
+    return acc
+
+
+def _pderiv(p):
+    return tuple(i * p[i] for i in range(1, len(p))) or (0,)
 
 
 def _check_order_cap(order: int) -> None:
@@ -98,43 +105,42 @@ def pi_series(order: int) -> RationalSeries:
 
 
 def pi_series_by_recurrence(order: int) -> RationalSeries:
-    """The same coefficients from the three-term recurrence
-    N^3 a_N = 2(2N-1)(10N^2-10N+3) a_{N-1} - 36(N-1)(2N-3)(2N-1) a_{N-2}."""
+    """The same coefficients from the recurrence the theta table gives,
+    N^3 a_N = -Q_1(N-1) a_{N-1} - Q_2(N-2) a_{N-2}, with a_0 = 1."""
     _check_order_cap(order)
-    return RationalSeries(_pi_coeffs(order))
+    return RationalSeries(_recurrence(order, 1))
 
 
-def _pi_coeffs(order: int) -> list[Fraction]:
-    # no order cap here: the Schwarzian checks expand t' ten orders past the
-    # order asked for, so their working order may exceed MAX_ORDER
-    a = [Fraction(1)]
+def _recurrence(order: int, start: int, lower=()) -> list[Fraction]:
+    """Coefficients b_0 = start, b_1 .. b_order of the log layer g_m, where
+    lower = (g_0, .., g_(m-1)) holds the coefficients of the layers below.
+
+    The solution sum_i C(m, i) g_(m-i) log^i x is annihilated when
+    sum_i C(m, i) sum_j Q_j^(i)(N-j) [x^(N-j)] g_(m-i) = 0 for every N, and
+    Q_0(N) = N^3 isolates b_N.  No order cap here: the Schwarzian checks
+    expand t' four orders past the order asked for, so their working order
+    may exceed MAX_ORDER."""
+    m = len(lower)
+    derivs = [_Q]
+    for _ in range(m):
+        derivs.append(tuple(_pderiv(q) for q in derivs[-1]))
+    b = [Fraction(start)]
+    # (j, polynomial, layer): x^N collects polynomial(N-j) [x^(N-j)] layer;
+    # the layer g_k below enters with C(m, k) Q_j^(m-k)
+    terms = [(j, _Q[j], b) for j in (1, 2)]
+    terms += [(j, tuple(comb(m, k) * c for c in derivs[m - k][j]), g)
+              for k, g in enumerate(lower) for j in (0, 1, 2)]
     for n in range(1, order + 1):
-        v = 2 * (2 * n - 1) * (10 * n * n - 10 * n + 3) * a[n - 1]
-        if n >= 2:
-            v -= 36 * (n - 1) * (2 * n - 3) * (2 * n - 1) * a[n - 2]
-        a.append(Fraction(v, n ** 3))
-    return a
-
-
-def _log_partner_coeffs(a, lower_pairs):
-    """Solve N^3 b_N + sum_j Q_j(N-j) b_{N-j} = -(inhomogeneous term), where
-    the inhomogeneous term collects the polynomial-derivative contributions
-    of the lower log layers given in lower_pairs as (weight, coeffs, d/dth)."""
-    order = len(a) - 1
-    b = [Fraction(0)]
-    for n in range(1, order + 1):
-        s = Fraction(0)
-        for j in (1, 2):
-            if n - j >= 0:
-                s += _polyval(_Q[j], n - j) * b[n - j]
-        for weight, coeffs, derivs in lower_pairs:
-            for j in (0, 1, 2):
-                if n - j >= 0:
-                    q = _Q[j]
-                    for _ in range(derivs):
-                        q = _pderiv(q)
-                    s += weight * _polyval(q, n - j) * coeffs[n - j]
-        b.append(Fraction(-s, n ** 3))
+        # the sum runs on an integer numerator over a common denominator
+        num, den = 0, 1
+        for j, q, g in terms:
+            if j <= n:
+                x = g[n - j]
+                common = lcm(den, x.denominator)
+                num *= common // den
+                num += _polyval(q, n - j) * x.numerator * (common // x.denominator)
+                den = common
+        b.append(Fraction(num, -den * n ** 3))
     return b
 
 
@@ -151,16 +157,11 @@ def frobenius_basis(order: int):
     if order < 4:
         raise ValueError("order must be at least 4")
     _check_order_cap(order)
-    a = _pi_coeffs(order)
-    b = _log_partner_coeffs(a, [(1, a, 1)])
-    c = _log_partner_coeffs(a, [(1, a, 2), (2, b, 1)])
-    pi = RationalSeries(a)
-    g1 = RationalSeries(b)
-    g2 = RationalSeries(c)
-    y0 = LogSeries([pi])
-    y1 = LogSeries([g1, pi])
-    y2 = LogSeries([g2, g1 * 2, pi])
-    return y0, y1, y2
+    a = _recurrence(order, 1)
+    b = _recurrence(order, 0, (a,))
+    c = _recurrence(order, 0, (a, b))
+    pi, g1, g2 = RationalSeries(a), RationalSeries(b), RationalSeries(c)
+    return LogSeries([pi]), LogSeries([g1, pi]), LogSeries([g2, g1 * 2, pi])
 
 
 # -- mirror map ---------------------------------------------------------------
@@ -176,8 +177,8 @@ class MirrorMap:
 
 def _log_shift(order: int) -> RationalSeries:
     """g1/Pi through x^order, so that log x + g1/Pi is 2 pi i t."""
-    a = _pi_coeffs(order)
-    return RationalSeries(_log_partner_coeffs(a, [(1, a, 1)])) / RationalSeries(a)
+    a = _recurrence(order, 1)
+    return RationalSeries(_recurrence(order, 0, (a,))) / RationalSeries(a)
 
 
 def mirror_map(order: int) -> MirrorMap:
@@ -216,11 +217,10 @@ def z_of_x(x: Fraction | None) -> Fraction | None:
 
 
 def _t_prime(order: int) -> RationalSeries:
-    """(2 pi i) t' = 1/x + (g1/Pi)' as an exact Laurent series; the constant
-    2 pi i drops out of every Schwarzian."""
-    work = order + 10
-    inv_x = RationalSeries([1] + [0] * work, -1)
-    return inv_x + _log_shift(work).deriv()
+    """(2 pi i) t' = 1/x + (g1/Pi)' through x^(order-1), as an exact Laurent
+    series; the constant 2 pi i drops out of every Schwarzian."""
+    inv_x = RationalSeries([1] + [0] * order, -1)
+    return inv_x + _log_shift(order).deriv()
 
 
 def _schwarzian_of(tp: RationalSeries) -> RationalSeries:
@@ -232,24 +232,28 @@ def _schwarzian_of(tp: RationalSeries) -> RationalSeries:
     return s1 - (s2 * s2) * Fraction(3, 2)
 
 
+def _compare(lhs: RationalSeries, want, order: int) -> SeriesCheck:
+    """lhs against the exact coefficients want[0 .. order]."""
+    for k in range(order + 1):
+        if lhs.coeff(k) != want[k]:
+            return SeriesCheck(False, order, (k, str(lhs.coeff(k)), str(want[k])))
+    return SeriesCheck(True, order)
+
+
 def schwarzian_check(order: int) -> SeriesCheck:
     """Exact comparison of {t,x} * 2x^2 (1-36x)^2 (1-4x)^2 with the quartic
     1 - 52x + 1500x^2 - 6048x^3 + 15552x^4, through the given order."""
     if order < 8:
         raise ValueError("order must be at least 8")
     _check_order_cap(order)
-    schw = _schwarzian_of(_t_prime(order))
+    # {t,x} reaches two orders below t', and __mul__ treats the zero-padded
+    # weight as a truncated series, which costs two more
+    schw = _schwarzian_of(_t_prime(order + 4))
     w = schw.top
     weight = poly((0, 0, 2), top=w)
     for factor in ((1, -36), (1, -36), (1, -4), (1, -4)):
         weight = weight * poly(factor, top=w)
-    lhs = schw * weight
-    target = poly(_SCHWARZIAN_NUMERATOR, top=order)
-    for k in range(order + 1):
-        got, want = lhs.coeff(k), target.coeff(k)
-        if got != want:
-            return SeriesCheck(False, order, (k, str(got), str(want)))
-    return SeriesCheck(True, order)
+    return _compare(schw * weight, poly(_SCHWARZIAN_NUMERATOR, top=order).coeffs, order)
 
 
 def _standard_chart(s: RationalSeries, top: int) -> RationalSeries:
@@ -285,62 +289,26 @@ def standard_form_check(order: int) -> SeriesCheck:
         for k in range(order - 1):
             rhs[k + 2] += c2 * Fraction(k + 1, ai ** (k + 2))
             rhs[k + 2] -= _STANDARD_BETA[i] * Fraction(1, ai ** (k + 1))
-    for k in range(order + 1):
-        got, want = lhs.coeff(k), rhs[k]
-        if got != want:
-            return SeriesCheck(False, order, (k, str(got), str(want)))
-    return SeriesCheck(True, order)
+    return _compare(lhs, rhs, order)
 
 
 # -- theta form to d/dx form ---------------------------------------------------
 
-def _padd(p, q):
-    n = max(len(p), len(q))
-    return tuple((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n))
-
-
-def _pshift(p, k):
-    return (0,) * k + tuple(p)
-
-
-def _pderiv(p):
-    return tuple(i * p[i] for i in range(1, len(p))) or (0,)
-
-
-def _pscale(c, p):
-    return tuple(c * x for x in p)
+# Stirling numbers of the second kind: theta^d = sum_k S(d, k) x^k D^k
+_STIRLING2 = ((1,), (0, 1), (0, 1, 1), (0, 1, 3, 1))
 
 
 @cache
 def dform_coefficients() -> tuple[tuple[int, ...], ...]:
     """Polynomial coefficients (p0, p1, p2, p3) with the operator written as
-    p3(x) y''' + p2(x) y'' + p1(x) y' + p0(x) y; derived from the theta form
-    by theta (p D^k) = x p' D^k + x p D^(k+1)."""
-    # theta^d in D-form: dict power-of-D -> coefficient polynomial
-    theta_powers = [{0: (1,)}]
-    for _ in range(3):
-        prev = theta_powers[-1]
-        nxt: dict[int, tuple[int, ...]] = {}
-        for k, p in prev.items():
-            xp = _pshift(p, 1)
-            xdp = _pshift(_pderiv(p), 1)
-            nxt[k] = _padd(nxt.get(k, (0,)), xdp)
-            nxt[k + 1] = _padd(nxt.get(k + 1, (0,)), xp)
-        theta_powers.append(nxt)
-    out: dict[int, tuple[int, ...]] = {k: (0,) for k in range(4)}
+    p3(x) y''' + p2(x) y'' + p1(x) y' + p0(x) y; the term c x^j theta^d of
+    the theta form adds c S(d, k) to the x^(j+k) coefficient of p_k."""
+    out = [[0] * (len(_Q) + k) for k in range(4)]
     for j, q in enumerate(_Q):
         for d, c in enumerate(q):
-            if c:
-                for k, p in theta_powers[d].items():
-                    out[k] = _padd(out[k], _pshift(_pscale(c, p), j))
-
-    def trim(p):
-        n = len(p)
-        while n > 1 and p[n - 1] == 0:
-            n -= 1
-        return p[:n]
-
-    return tuple(trim(out[k]) for k in range(4))
+            for k, s in enumerate(_STIRLING2[d]):
+                out[k][j + k] += c * s
+    return tuple(map(tuple, out))
 
 
 # -- numeric monodromy ----------------------------------------------------------
@@ -376,17 +344,6 @@ class MonodromyResult:
     order2_residual: float | None
 
 
-def _series_floats(s: RationalSeries):
-    return np.array([float(c) for c in s.coeffs])
-
-
-def _horner(c: np.ndarray, x: float) -> float:
-    acc = 0.0
-    for v in c[::-1]:
-        acc = acc * x + v
-    return acc
-
-
 def _frobenius_initial_matrix(order: int, x0: float) -> np.ndarray:
     """Rows (y_i, y_i', y_i'') at the real basepoint, for the Frobenius basis."""
     basis = frobenius_basis(order)
@@ -395,11 +352,10 @@ def _frobenius_initial_matrix(order: int, x0: float) -> np.ndarray:
     for ls in basis:
         y = yp = ypp = 0.0
         for j, part in enumerate(ls.parts):
-            f0 = _horner(_series_floats(part), x0)
-            f1 = _horner(np.array([float(k * part.coeffs[k])
-                                   for k in range(1, len(part.coeffs))]), x0)
-            f2 = _horner(np.array([float(k * (k - 1) * part.coeffs[k])
-                                   for k in range(2, len(part.coeffs))]), x0)
+            # the k-th derivative without its k exact-zero leading terms
+            d1 = part.deriv()
+            f0, f1, f2 = (RationalSeries(s.coeffs[k:]).evalf(x0)
+                          for k, s in enumerate((part, d1, d1.deriv())))
             y += f0 * lx ** j
             yp += f1 * lx ** j + (j * f0 * lx ** (j - 1) / x0 if j >= 1 else 0.0)
             ypp += f2 * lx ** j

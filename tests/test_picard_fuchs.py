@@ -1,15 +1,20 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from k3mirror import picard_fuchs
 from k3mirror.picard_fuchs import (
     MAX_ORDER,
     SINGULAR_POINTS,
+    SeriesCheck,
     ToleranceNotMet,
     ThetaOperator,
     _companion,
+    _compare,
+    _frobenius_initial_matrix,
     _schwarzian_of,
     _standard_chart,
     _t_prime,
@@ -248,3 +253,113 @@ def test_orders_above_max_order_are_refused(func):
         func(MAX_ORDER + 1)
     with pytest.raises(ValueError, match="exceeds the maximum"):
         func(3_000_000_000)
+
+
+# -- the former hand-written copies of the operator, kept as references -------
+
+# x^0, x^1, x^2 parts of the operator in theta, low degree first
+_Q_EXPANDED = ((0, 0, 0, 1), (-6, -32, -60, -40), (108, 396, 432, 144))
+
+
+def _value(q, n):
+    return sum(c * n ** i for i, c in enumerate(q))
+
+
+def _deriv(q):
+    return tuple(i * q[i] for i in range(1, len(q))) or (0,)
+
+
+def _pi_coeffs_literal(order):
+    """N^3 a_N = 2(2N-1)(10N^2-10N+3) a_{N-1} - 36(N-1)(2N-3)(2N-1) a_{N-2}."""
+    a = [Fraction(1)]
+    for n in range(1, order + 1):
+        v = 2 * (2 * n - 1) * (10 * n * n - 10 * n + 3) * a[n - 1]
+        if n >= 2:
+            v -= 36 * (n - 1) * (2 * n - 3) * (2 * n - 1) * a[n - 2]
+        a.append(Fraction(v, n ** 3))
+    return a
+
+
+def _log_partner_literal(a, lower_pairs):
+    """N^3 b_N + sum_j Q_j(N-j) b_{N-j} = -sum weight Q_j^(derivs)(N-j) coeffs[N-j]
+    over the lower layers given as (weight, coeffs, derivs)."""
+    b = [Fraction(0)]
+    for n in range(1, len(a)):
+        s = Fraction(0)
+        for j in (1, 2):
+            if n - j >= 0:
+                s += _value(_Q_EXPANDED[j], n - j) * b[n - j]
+        for weight, coeffs, derivs in lower_pairs:
+            for j in (0, 1, 2):
+                if n - j >= 0:
+                    q = _Q_EXPANDED[j]
+                    for _ in range(derivs):
+                        q = _deriv(q)
+                    s += weight * _value(q, n - j) * coeffs[n - j]
+        b.append(Fraction(-s, n ** 3))
+    return b
+
+
+@pytest.mark.parametrize("order", [4, 30, 120])
+def test_frobenius_layers_match_former_recurrences(order):
+    a = _pi_coeffs_literal(order)
+    b = _log_partner_literal(a, [(1, a, 1)])
+    c = _log_partner_literal(a, [(1, a, 2), (2, b, 1)])
+    y0, y1, y2 = frobenius_basis(order)
+    assert [p.coeffs for p in y0.parts] == [tuple(a)]
+    assert [p.coeffs for p in y1.parts] == [tuple(b), tuple(a)]
+    assert [p.coeffs for p in y2.parts] == [tuple(c), tuple(2 * v for v in b), tuple(a)]
+
+
+def test_recurrence_matches_former_literal_through_400():
+    assert pi_series_by_recurrence(400).coeffs == tuple(_pi_coeffs_literal(400))
+
+
+def _initial_matrix_by_horner(order, x0):
+    """The former float evaluator: each series and derivative turned into a
+    numpy array and summed by its own Horner loop."""
+    def horner(c):
+        acc = 0.0
+        for v in c[::-1]:
+            acc = acc * x0 + v
+        return acc
+
+    lx = math.log(x0)
+    rows = []
+    for ls in frobenius_basis(order):
+        y = yp = ypp = 0.0
+        for j, part in enumerate(ls.parts):
+            c = part.coeffs
+            f0 = horner(np.array([float(v) for v in c]))
+            f1 = horner(np.array([float(k * c[k]) for k in range(1, len(c))]))
+            f2 = horner(np.array([float(k * (k - 1) * c[k]) for k in range(2, len(c))]))
+            y += f0 * lx ** j
+            yp += f1 * lx ** j + (j * f0 * lx ** (j - 1) / x0 if j >= 1 else 0.0)
+            ypp += f2 * lx ** j
+            if j >= 1:
+                ypp += 2 * j * f1 * lx ** (j - 1) / x0 - j * f0 * lx ** (j - 1) / x0 ** 2
+            if j >= 2:
+                ypp += j * (j - 1) * f0 * lx ** (j - 2) / x0 ** 2
+        rows.append((y, yp, ypp))
+    return np.array(rows, dtype=complex)
+
+
+@pytest.mark.parametrize("order, x0", [(48, 1 / 200), (60, 1 / 100), (80, 1 / 70)])
+def test_initial_matrix_matches_former_horner(order, x0):
+    picard_fuchs._import_numpy()
+    got = _frobenius_initial_matrix(order, x0)
+    want = _initial_matrix_by_horner(order, x0)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()     # bit for bit, signed zeros included
+
+
+def test_schwarzian_checks_pass_at_every_order_through_80():
+    for order in range(8, 81):
+        assert schwarzian_check(order) == SeriesCheck(True, order), order
+        assert standard_form_check(order) == SeriesCheck(True, order), order
+
+
+def test_compare_reports_first_mismatch():
+    lhs = poly((1, Fraction(1, 2), 3, 5))
+    assert _compare(lhs, (1, Fraction(1, 2), 3), 2) == SeriesCheck(True, 2)
+    assert _compare(lhs, (1, 0, 4, 5), 3) == SeriesCheck(False, 3, (1, "1/2", "0"))
