@@ -102,20 +102,17 @@ def _cmd_verify_glue(args) -> tuple[str, object]:
     n = args.n
     gd = disc_mod.construct_mirror_embedding(n)
     id_right = lattices.Isometry.identity(gd.right)
-    results = {}
     if n == 6:
         gens = modular.monodromy_generators(6)
         expected = {"T": True, "S1": True, "S2": False}
-        for key, g in gens.items():
-            results[key] = disc_mod.glue_extends(gd, g, id_right) is not None
     else:
-        lat = modular.u_plus_mn(n)
-        tbar = modular.R_map(modular.translation(), n).to_isometry()
-        s1bar = (-modular.R_map(modular.fricke(n), n)).to_isometry()
-        refl = lattices.Isometry(lat, ((1, 0, 0), (0, -1, 0), (0, 0, 1)))
+        gens = {"T": modular.R_map(modular.translation(), n).to_isometry(),
+                "S1": (-modular.R_map(modular.fricke(n), n)).to_isometry(),
+                "v-reflection": lattices.Isometry(modular.u_plus_mn(n),
+                                                  ((1, 0, 0), (0, -1, 0), (0, 0, 1)))}
         expected = {"T": True, "S1": True, "v-reflection": n == 1}
-        for key, g in (("T", tbar), ("S1", s1bar), ("v-reflection", refl)):
-            results[key] = disc_mod.glue_extends(gd, g, id_right) is not None
+    results = {key: disc_mod.glue_extends(gd, g, id_right) is not None
+               for key, g in gens.items()}
     payload = {
         "n": n,
         "index": gd.index,

@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .lattices import IntLattice, Isometry, bilinear, direct_sum, make_standard, signature
 from .linalg import (
     Mat,
     Vec,
     block_diag,
+    congruent,
     freeze_mat,
     identity,
     inverse,
@@ -48,10 +49,7 @@ class DiscriminantGroup:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.invariant_factors)
 
     def class_of(self, x: Vec) -> tuple[int, ...]:
         """Coordinates of the class of x in the cyclic factors (x must lie in L*)."""
@@ -86,22 +84,18 @@ def induced_disc_action(lat: IntLattice, g: Isometry | Mat) -> Mat:
     Column j holds the class of g applied to the j-th generator lift; entries
     in row i are reduced mod the i-th invariant factor.
     """
-    mat = g.matrix if isinstance(g, Isometry) else freeze_mat(g)
     if not isinstance(g, Isometry):
-        Isometry(lat, mat)  # validates
+        g = Isometry(lat, g)  # validates
     group = discriminant_group(lat)
-    cols = [group.class_of(mat_vec(mat, lift)) for lift in group.generator_lifts]
+    cols = [group.class_of(mat_vec(g.matrix, lift)) for lift in group.generator_lifts]
     k = len(group.invariant_factors)
     return freeze_mat([[cols[j][i] for j in range(k)] for i in range(k)])
 
 
 def in_kernel_star(lat: IntLattice, g: Isometry | Mat) -> bool:
     """True iff g acts as the identity on the discriminant group."""
-    group = discriminant_group(lat)
-    action = induced_disc_action(lat, g)
-    k = len(group.invariant_factors)
-    return all(action[i][j] == (1 if i == j else 0) % group.invariant_factors[i]
-               for i in range(k) for j in range(k))
+    k = len(discriminant_group(lat).invariant_factors)   # each > 1: entries already reduced
+    return induced_disc_action(lat, g) == identity(k)
 
 
 def cyclic_disc_isometry_count(n: int) -> int:
@@ -113,8 +107,6 @@ def cyclic_disc_isometry_count(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return 1
     return sum(1 for a in range(1, 2 * n)
                if gcd(a, 2 * n) == 1 and (a * a - 1) % (4 * n) == 0)
 
@@ -155,11 +147,10 @@ def construct_mirror_embedding(n: int) -> GlueData:
     v_index, w_index = 1, left.rank + 2
     glue = tuple(Fraction(1, 2 * n) if i in (v_index, w_index) else Fraction(0)
                  for i in range(rank))
-    cols = [list(col) for col in zip(*identity(rank))]
-    cols[w_index] = list(glue)
-    over_basis = freeze_mat([tuple(cols[j][i] for j in range(rank)) for i in range(rank)])
+    over_basis = tuple(tuple(glue[i] if j == w_index else int(i == j) for j in range(rank))
+                       for i in range(rank))
     over_inv = inverse(over_basis)
-    over_gram = mat_mul(tuple(zip(*over_basis)), mat_mul(sub.gram, over_basis))
+    over_gram = congruent(sub.gram, over_basis)
     if not is_integral(over_gram):
         raise ArithmeticError("glue vector does not produce an integral overlattice")
     over_gram = tuple(tuple(int(x) for x in row) for row in over_gram)

@@ -29,7 +29,6 @@ from .linalg import (
     is_integral,
     mat_mul,
     mat_vec,
-    solve,
 )
 
 # Cartan matrix of E8, Bourbaki node order (chain 1-3-4-5-6-7-8, node 2 on 4).
@@ -220,17 +219,15 @@ def make_standard(name: str, n: int | None = None) -> IntLattice:
     if name == "K3":
         e8 = _e8_minus()
         u = make_standard("U")
-        lat = direct_sum(direct_sum(e8, e8), direct_sum(u, direct_sum(u, u)))
-        return IntLattice(lat.gram, label="K3", positive_basis=lat.positive_basis)
+        return direct_sum(direct_sum(e8, e8), direct_sum(u, direct_sum(u, u)), label="K3")
     if name == "Mukai":
-        lat = direct_sum(make_standard("U"), make_standard("K3"))
-        return IntLattice(lat.gram, label="Mukai", positive_basis=lat.positive_basis)
+        return direct_sum(make_standard("U"), make_standard("K3"), label="Mukai")
     if name == "U_plus_Mn":
         return hyperbolic_extension(make_standard("two_n", n), label=f"U+<{2 * n}>")
     if name == "Mcheck_n":
-        lat = direct_sum(make_standard("minus_two_n", n),
-                         direct_sum(make_standard("U"), direct_sum(_e8_minus(), _e8_minus())))
-        return IntLattice(lat.gram, label=f"Mcheck:{n}", positive_basis=lat.positive_basis)
+        return direct_sum(make_standard("minus_two_n", n),
+                          direct_sum(make_standard("U"), direct_sum(_e8_minus(), _e8_minus())),
+                          label=f"Mcheck:{n}")
     raise AssertionError("unreachable")
 
 
@@ -299,13 +296,11 @@ def orientation_sign_positive(lat: IntLattice, g: Isometry | Mat) -> int:
     if not is_isometry(lat, mat):
         raise ValueError("not an isometry of the lattice")
     basis = lat.positive_basis
-    p = len(basis)
-    # gram of the positive subspace and pairings of images against it
-    gp = tuple(tuple(bilinear(lat, u, v) for v in basis) for u in basis)
+    # the projection coordinates are gp^-1 rhs, gp the positive-definite Gram
+    # of the basis, so their det has the sign of det(rhs)
     images = [mat_vec(mat, v) for v in basis]
     rhs = tuple(tuple(bilinear(lat, u, img) for img in images) for u in basis)
-    coords = solve(gp, rhs)  # column j = projection coords of image j
-    d = det(coords)
+    d = det(rhs)
     if d == 0:
         raise ArithmeticError("singular projection; input was not an isometry")
     return 1 if d > 0 else -1

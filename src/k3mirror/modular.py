@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd
 
 from .discriminant import (
     construct_mirror_embedding,
@@ -55,13 +55,10 @@ class FracLinear:
             raise ValueError("scale must be positive")
         if det(m) != self.scale:
             raise ValueError("determinant must equal the scale")
-        # pull the largest usable square factor of the scale into the matrix
+        # pull the largest usable square factor of the scale into the matrix:
+        # a common divisor g of the entries has g^2 | det(m) = scale
         scale = self.scale
-        g = 1
-        for d in range(isqrt(scale), 1, -1):
-            if scale % (d * d) == 0 and all(x % d == 0 for row in m for x in row):
-                g = d
-                break
+        g = gcd(*m[0], *m[1])
         if g > 1:
             m = tuple(tuple(x // g for x in row) for row in m)
             scale //= g * g
@@ -70,11 +67,6 @@ class FracLinear:
             m = tuple(tuple(-x for x in row) for row in m)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "scale", scale)
-
-    @property
-    def is_modular(self) -> bool:
-        """True when the scale is trivial, i.e. the element lies in PSL(2,Z)."""
-        return self.scale == 1
 
     def __matmul__(self, other: "FracLinear") -> "FracLinear":
         return FracLinear(mat_mul(self.m, other.m), self.scale * other.scale)
@@ -134,8 +126,7 @@ class SOMatrix:
     def __post_init__(self):
         m = freeze_mat(tuple(tuple(Fraction(x) for x in row) for row in self.matrix))
         object.__setattr__(self, "matrix", m)
-        if congruent(self.lattice.gram, m) != freeze_mat(
-                tuple(tuple(Fraction(x) for x in row) for row in self.lattice.gram)):
+        if congruent(self.lattice.gram, m) != self.lattice.gram:
             raise ValueError("matrix does not preserve the form")
         if det(m) not in (1, -1):
             raise ValueError("determinant must be +-1")
@@ -324,8 +315,7 @@ def verify_degree12(n: int = 6) -> VerificationReport:
     square_rhs = R_map(ss_sq, 6).matrix
     ok = (lhs == rhs
           and ss_sq == FracLinear(((5, 2), (12, 5)))
-          and freeze_mat(tuple(tuple(Fraction(x) for x in row) for row in square_lhs))
-              == square_rhs)
+          and square_lhs == square_rhs)
     checks.append(CheckOutcome(
         "composite-square",
         "R(S2 S1) = R(S1) R(S2); (S1bar S2bar)^2 = R((S2 S1)^2) and "

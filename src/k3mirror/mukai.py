@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .lattices import IntLattice, bilinear, hyperbolic_extension, signature
+from .lattices import IntLattice, bilinear, hyperbolic_extension, make_standard, signature
 from .linalg import Vec, freeze_vec
 
 
@@ -48,7 +48,6 @@ class NSContext:
 
 def rank_one_context(n: int) -> NSContext:
     """NS = Z h with (h,h) = 2n, the degree-2n Picard-rank-one case."""
-    from .lattices import make_standard
     return NSContext(make_standard("two_n", n), ample=(1,))
 
 
@@ -70,10 +69,7 @@ class MukaiVector:
         return MukaiVector(self.ctx, -self.r, tuple(-x for x in self.d), -self.s)
 
     def is_primitive(self) -> bool:
-        g = abs(self.r)
-        for x in self.d:
-            g = gcd(g, abs(int(x)))
-        return gcd(g, abs(self.s)) == 1
+        return gcd(self.r, *map(int, self.d), self.s) == 1
 
 
 def _check_ctx(v: MukaiVector, w: MukaiVector):

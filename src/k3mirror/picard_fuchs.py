@@ -382,13 +382,13 @@ def _circle(center: complex, radius: float, start_angle: float = math.pi):
             lambda t: radius * 2j * math.pi * cmath.exp(1j * (start_angle + 2 * math.pi * t)))
 
 
-def _transport(legs, rtol=1e-12, atol=1e-14) -> np.ndarray:
+def _transport(legs) -> np.ndarray:
     u = np.eye(3, dtype=complex)
     for path, dpath in legs:
         def rhs(t, y):
             return (dpath(t) * (_companion(path(t)) @ y.reshape(3, 3))).reshape(-1)
         sol = solve_ivp(rhs, (0.0, 1.0), u.reshape(-1), method="DOP853",
-                        rtol=rtol, atol=atol)
+                        rtol=1e-12, atol=1e-14)
         if not sol.success:
             raise ToleranceNotMet(f"integration failed: {sol.message}")
         u = sol.y[:, -1].reshape(3, 3)
@@ -433,6 +433,8 @@ def numeric_monodromy(point, basepoint=Fraction(1, 100), tol: float = 1e-6) -> M
     loops the residual reported is the defect of M^2 = I, which must also
     meet ``tol``.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a finite positive number")
     point = Fraction(point)
     if point not in SINGULAR_POINTS:
         snapped = point.limit_denominator(100)   # tolerate float inputs like 1/36

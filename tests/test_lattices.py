@@ -17,6 +17,7 @@ from k3mirror.lattices import (
     root_reflection,
     signature,
 )
+from k3mirror.linalg import det, mat_vec, solve
 from k3mirror.modular import monodromy_generators
 
 U6 = make_standard("U_plus_Mn", 6)
@@ -222,3 +223,77 @@ def test_serialization_roundtrip():
 def test_bilinear_rational_inputs():
     val = bilinear(U6, (Fraction(1, 2), 0, 0), (0, 0, Fraction(1, 3)))
     assert val == Fraction(-1, 6)
+
+
+# -- the former routes, kept as references -------------------------------------
+
+def _orientation_by_solve(lat, g):
+    """The former orientation sign: solve for the projection coordinates of
+    the images in the positive basis and take the sign of their det."""
+    basis = lat.positive_basis
+    gp = tuple(tuple(bilinear(lat, u, v) for v in basis) for u in basis)
+    images = [mat_vec(g.matrix, v) for v in basis]
+    rhs = tuple(tuple(bilinear(lat, u, img) for img in images) for u in basis)
+    return 1 if det(solve(gp, rhs)) > 0 else -1
+
+
+def _mukai_isometries():
+    """Isometries of U + K3 = U + E8(-1)^2 + U^3 (basis e, f, E8, E8, U, U, U):
+    reflections in the positive e - f and the negative e + f of the first
+    U, a root reflection mixing that U with the first E8 block, a simple
+    root reflection, and the swap of the first and last U."""
+    lat = make_standard("Mukai")
+    unit = [tuple(int(i == j) for j in range(24)) for i in range(24)]
+
+    def vec(*terms):
+        return tuple(sum(c * unit[i][j] for c, i in terms) for j in range(24))
+
+    e_minus_f = vec((1, 0), (-1, 1))
+    refl_pos = Isometry(lat, tuple(
+        tuple(int(i == j) - e_minus_f[i] * x for j, x in enumerate(
+            mat_vec(lat.gram, e_minus_f))) for i in range(24)))
+    perm = list(range(24))
+    perm[0], perm[1], perm[22], perm[23] = 22, 23, 0, 1
+    swap_u = Isometry(lat, tuple(tuple(int(perm[j] == i) for j in range(24))
+                                 for i in range(24)))
+    return lat, [refl_pos, swap_u, -Isometry.identity(lat),
+                 root_reflection(lat, vec((1, 0), (1, 1))),
+                 root_reflection(lat, vec((1, 0), (1, 2))),
+                 root_reflection(lat, vec((1, 5)))]
+
+
+def test_orientation_sign_matches_former_solve(rng):
+    u6_gens = [GENS["T"], GENS["S1"], GENS["S2"], -Isometry.identity(U6),
+               Isometry(U6, ((-1, 0, 0), (0, 1, 0), (0, 0, -1))),
+               Isometry(U6, ((1, 0, 0), (0, -1, 0), (0, 0, 1)))]
+    for lat, gens, words in ((U6, u6_gens, 400), (*_mukai_isometries(), 60)):
+        seen = set()
+        for _ in range(words):
+            g = rng.choice(gens)
+            for _ in range(rng.randint(0, 4)):
+                g = g @ rng.choice(gens)
+            sign = orientation_sign_positive(lat, g)
+            assert sign == _orientation_by_solve(lat, g)
+            seen.add(sign)
+        assert seen == {1, -1}
+
+
+def _relabelled_copy(name, n=None):
+    """The former K3 / Mukai / Mcheck_n: the direct sum copied into a second
+    lattice only to carry the label."""
+    e8, u = make_standard("E8minus"), make_standard("U")
+    if name == "K3":
+        lat, label = direct_sum(direct_sum(e8, e8), direct_sum(u, direct_sum(u, u))), "K3"
+    elif name == "Mukai":
+        lat, label = direct_sum(u, _relabelled_copy("K3")), "Mukai"
+    else:
+        lat = direct_sum(make_standard("minus_two_n", n), direct_sum(u, direct_sum(e8, e8)))
+        label = f"Mcheck:{n}"
+    return IntLattice(lat.gram, label=label, positive_basis=lat.positive_basis)
+
+
+@pytest.mark.parametrize("name,n", [("K3", None), ("Mukai", None)]
+                         + [("Mcheck_n", n) for n in (1, 2, 6, 15, 30)])
+def test_standard_sums_match_former_relabelled_copies(name, n):
+    new, old = make_standard(name, n), _relabelled_copy(name, n)
+    assert (new.gram, new.label, new.positive_basis) == (old.gram, old.label, old.positive_basis)

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from sympy import primefactors
 
 from k3mirror.discriminant import in_kernel_star
@@ -241,3 +243,31 @@ def test_verify_degree12_report():
 def test_verify_requires_n6():
     with pytest.raises(ValueError):
         verify_degree12(4)
+
+
+# -- the former normal-form search, kept as a reference ----------------------
+
+def _normal_form_by_search(m, scale):
+    """The former O(sqrt(scale)) search for the largest d with d^2 | scale
+    dividing every entry, then the sign convention."""
+    g = 1
+    for d in range(isqrt(scale), 1, -1):
+        if scale % (d * d) == 0 and all(x % d == 0 for row in m for x in row):
+            g = d
+            break
+    if g > 1:
+        m = tuple(tuple(x // g for x in row) for row in m)
+        scale //= g * g
+    if next(x for row in m for x in row if x != 0) < 0:
+        m = tuple(tuple(-x for x in row) for row in m)
+    return m, scale
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.integers(-40, 40), min_size=4, max_size=4), st.integers(1, 12))
+def test_fraclinear_gcd_matches_former_search(entries, k):
+    a, b, c, d = (k * x for x in entries)
+    assume(a * d - b * c > 0)
+    m = ((a, b), (c, d))
+    g = FracLinear(m, a * d - b * c)
+    assert (g.m, g.scale) == _normal_form_by_search(m, a * d - b * c)

@@ -206,6 +206,9 @@ def test_monodromy_rejects_bad_input():
         numeric_monodromy(0, basepoint=Fraction(1000, 36001))
     with pytest.raises(ToleranceNotMet):
         numeric_monodromy(0, tol=1e-16)
+    for tol in (float("nan"), float("inf"), 0, -1):
+        with pytest.raises(ValueError, match="tol"):
+            numeric_monodromy(Fraction(1, 36), tol=tol)
 
 
 def test_monodromy_basepoint_shift_keeps_invariants():
@@ -238,6 +241,7 @@ def test_standard_chart_matches_composition(coeffs):
 
 
 def test_companion_uses_dform_literals():
+    picard_fuchs._import_numpy()
     literal = ((0, -6, 108), (0, 1, -132, 972), (0, 0, 3, -180, 864), (0, 0, 0, 1, -40, 144))
     assert dform_coefficients() == literal
     for x in (0.01 + 0.0j, 0.25 + 0.05j, 1 / 36 - 1 / 72 + 1e-3j):
