@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -263,7 +264,9 @@ def run(argv) -> tuple[CommandResult | None, int]:
     except SystemExit as exc:
         return None, int(exc.code or 0)
     start = time.perf_counter()
-    inputs = {k: v for k, v in vars(args).items()
+    # a float flag that is not finite is echoed as its string, which JSON can hold
+    inputs = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+              for k, v in vars(args).items()
               if k not in ("func", "pretty", "timing") and v is not None}
     try:
         status, payload = args.func(args)
@@ -285,7 +288,7 @@ def main() -> None:
             out = {"status": result.status, "payload": result.payload}
             if result.timing:
                 out["elapsed_ms"] = result.elapsed_ms
-            print(json.dumps(out))
+            print(json.dumps(out, allow_nan=False))
     sys.exit(code)
 
 

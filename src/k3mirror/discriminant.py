@@ -171,15 +171,6 @@ def disc_group_to_obj(group: DiscriminantGroup) -> dict:
     }
 
 
-def glue_to_obj(gd: GlueData) -> dict:
-    """Rational matrices with "p/q" entries."""
-    return {
-        "index": gd.index,
-        "glue_vector": [str(Fraction(x)) for x in gd.glue_vector],
-        "over_basis": [[str(Fraction(x)) for x in row] for row in gd.over_basis],
-    }
-
-
 def glue_extends(gd: GlueData, g_left: Isometry, g_right: Isometry) -> Isometry | None:
     """Extend the pair (g_left, g_right) across the glue, or refuse.
 

@@ -325,17 +325,3 @@ def lattice_to_obj(lat: IntLattice) -> dict:
         "rank": lat.rank,
         "gram": [str(x) for row in lat.gram for x in row],
     }
-
-
-def lattice_from_obj(obj: dict) -> IntLattice:
-    n = int(obj["rank"])
-    flat = [int(s) for s in obj["gram"]]
-    rows = [tuple(flat[i * n:(i + 1) * n]) for i in range(n)]
-    return IntLattice(freeze_mat(rows), label=obj.get("label"))
-
-
-def isometry_to_obj(g: Isometry) -> dict:
-    return {
-        "lattice_label": g.lattice.label,
-        "matrix": [str(x) for row in g.matrix for x in row],
-    }

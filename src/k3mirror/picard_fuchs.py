@@ -72,7 +72,7 @@ def apply_operator(op: ThetaOperator, s: LogSeries | RationalSeries):
     return total
 
 
-def _polyval(q: tuple[int, ...], n: int) -> int:
+def _polyval(q: tuple[int, ...], n: int | complex) -> int | complex:
     acc = 0
     for c in reversed(q):
         acc = acc * n + c
@@ -246,13 +246,11 @@ def schwarzian_check(order: int) -> SeriesCheck:
     if order < 8:
         raise ValueError("order must be at least 8")
     _check_order_cap(order)
-    # {t,x} reaches two orders below t', and __mul__ treats the zero-padded
-    # weight as a truncated series, which costs two more
-    schw = _schwarzian_of(_t_prime(order + 4))
-    w = schw.top
-    weight = poly((0, 0, 2), top=w)
-    for factor in ((1, -36), (1, -36), (1, -4), (1, -4)):
-        weight = weight * poly(factor, top=w)
+    # {t,x} is known through x^(order-2); the weight's exact factor x^2 lifts
+    # the product to x^order
+    schw = _schwarzian_of(_t_prime(order))
+    disc =poly((1, -40, 144), top=schw.top + 2)     # (1 - 36x)(1 - 4x)
+    weight = (disc * disc * 2).shift(2)
     return _compare(schw * weight, poly(_SCHWARZIAN_NUMERATOR, top=order).coeffs, order)
 
 
@@ -314,13 +312,8 @@ def dform_coefficients() -> tuple[tuple[int, ...], ...]:
 # -- numeric monodromy ----------------------------------------------------------
 #
 # numpy and scipy make up most of the package's import time and only the
-# floating-point transport needs them: numpy is imported by the first
-# numeric_monodromy call, scipy by the first integration.
-
-
-def _import_numpy() -> None:
-    global np
-    import numpy as np
+# floating-point transport needs them, so each function that uses them
+# imports them itself.
 
 
 def solve_ivp(*args, **kwargs):
@@ -344,8 +337,9 @@ class MonodromyResult:
     order2_residual: float | None
 
 
-def _frobenius_initial_matrix(order: int, x0: float) -> np.ndarray:
+def _frobenius_initial_matrix(order: int, x0: float):
     """Rows (y_i, y_i', y_i'') at the real basepoint, for the Frobenius basis."""
+    import numpy as np
     basis = frobenius_basis(order)
     lx = math.log(x0)
     rows = []
@@ -367,11 +361,6 @@ def _frobenius_initial_matrix(order: int, x0: float) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _companion(x: complex) -> np.ndarray:
-    p0, p1, p2, p3 = (np.polyval(p[::-1], x) for p in dform_coefficients())
-    return np.array([[0, 1, 0], [0, 0, 1], [-p0 / p3, -p1 / p3, -p2 / p3]])
-
-
 def _segment(z0: complex, z1: complex):
     return (lambda t: z0 + t * (z1 - z0), lambda t: z1 - z0)
 
@@ -382,11 +371,21 @@ def _circle(center: complex, radius: float, start_angle: float = math.pi):
             lambda t: radius * 2j * math.pi * cmath.exp(1j * (start_angle + 2 * math.pi * t)))
 
 
-def _transport(legs) -> np.ndarray:
+def _transport(legs):
+    """The fundamental matrix U of the companion system U' = C(x) U of the
+    d/dx form, carried along the legs from U = I; U is flattened row-wise."""
+    import numpy as np
+    p0, p1, p2, p3 = dform_coefficients()
     u = np.eye(3, dtype=complex)
     for path, dpath in legs:
         def rhs(t, y):
-            return (dpath(t) * (_companion(path(t)) @ y.reshape(3, 3))).reshape(-1)
+            # C has rows e1, e2 and (c0, c1, c2) with c_k = -p_k/p3
+            x, d = path(t), dpath(t)
+            lead = _polyval(p3, x)
+            c0, c1, c2 = (-_polyval(p, x) / lead for p in (p0, p1, p2))
+            v = y.tolist()
+            row2 = [c0 * a + c1 * b + c2 * c for a, b, c in zip(v[0:3], v[3:6], v[6:9])]
+            return [d * e for e in v[3:9] + row2]
         sol = solve_ivp(rhs, (0.0, 1.0), u.reshape(-1), method="DOP853",
                         rtol=1e-12, atol=1e-14)
         if not sol.success:
@@ -414,7 +413,8 @@ def _loop_legs(point: Fraction, basepoint: float):
     raise ValueError(f"{point} is not a finite singular point of the equation")
 
 
-def _analytic_unipotent() -> np.ndarray:
+def _analytic_unipotent():
+    import numpy as np
     two_pi_i = 2j * math.pi
     return np.array([
         [1, 0, 0],
@@ -448,7 +448,7 @@ def numeric_monodromy(point, basepoint=Fraction(1, 100), tol: float = 1e-6) -> M
     order = max(48, int(20 / -math.log10(36 * bf)) + 14)
     if order > 400:
         raise ValueError("basepoint too close to the convergence boundary at 1/36")
-    _import_numpy()
+    import numpy as np
     w = _frobenius_initial_matrix(order, bf)
 
     def loop_matrix(legs):

@@ -155,6 +155,22 @@ def test_main_renders_from_parsed_flags(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("status: value\n")
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_flag_fails_with_strict_json(monkeypatch, capsys, tol):
+    monkeypatch.setattr(sys, "argv", ["k3mirror", "pf", "monodromy", "--point", "1/36",
+                                      "--tol", tol])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    parsed = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert parsed["status"] == "fail"
+    assert parsed["payload"]["inputs"]["tol"] == tol
+
+
 # A fresh interpreter imports k3mirror, optionally runs one CLI call, and
 # reports its exit code and which heavy third-party packages got loaded.
 _PROBE = """

@@ -208,18 +208,6 @@ def test_glue_rejects_mismatched_lattices():
 
 
 def test_serialization():
-    from k3mirror.discriminant import disc_group_to_obj, glue_to_obj
+    from k3mirror.discriminant import disc_group_to_obj
     obj = disc_group_to_obj(discriminant_group(make_standard("two_n", 6)))
     assert obj == {"invariant_factors": [12], "qvals": ["1/12"]}
-    gd = construct_mirror_embedding(2)
-    gobj = glue_to_obj(gd)
-    assert gobj["index"] == 4
-    assert gobj["glue_vector"][1] == "1/4" and gobj["glue_vector"][5] == "1/4"
-    assert gobj["over_basis"][1][5] == "1/4"
-
-
-def test_isometry_serialization():
-    from k3mirror.lattices import isometry_to_obj
-    obj = isometry_to_obj(GENS["S1"])
-    assert obj["lattice_label"] == "U+<12>"
-    assert obj["matrix"] == ["0", "0", "-1", "0", "1", "0", "-1", "0", "0"]

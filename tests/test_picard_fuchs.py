@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3mirror import picard_fuchs
 from k3mirror.picard_fuchs import (
     MAX_ORDER,
     SINGULAR_POINTS,
     SeriesCheck,
     ToleranceNotMet,
     ThetaOperator,
-    _companion,
     _compare,
     _frobenius_initial_matrix,
     _schwarzian_of,
+    _segment,
     _standard_chart,
     _t_prime,
+    _transport,
     apply_operator,
     dform_coefficients,
     frobenius_basis,
@@ -240,14 +240,15 @@ def test_standard_chart_matches_composition(coeffs):
     assert _standard_chart(s, top).eq_through(_standard_chart_by_composition(s, top), top)
 
 
-def test_companion_uses_dform_literals():
-    picard_fuchs._import_numpy()
+def test_transport_matches_frobenius_continuation():
+    # inside the disc |x| < 1/36 the Frobenius series continue the basis on
+    # their own, so the companion system must carry W(x0)^T to W(x1)^T
     literal = ((0, -6, 108), (0, 1, -132, 972), (0, 0, 3, -180, 864), (0, 0, 0, 1, -40, 144))
     assert dform_coefficients() == literal
-    for x in (0.01 + 0.0j, 0.25 + 0.05j, 1 / 36 - 1 / 72 + 1e-3j):
-        p0, p1, p2, p3 = (np.polyval(p[::-1], x) for p in literal)
-        want = np.array([[0, 1, 0], [0, 0, 1], [-p0 / p3, -p1 / p3, -p2 / p3]])
-        assert np.array_equal(_companion(x), want)
+    x0, x1 = 1 / 200, 1 / 60
+    u = _transport([_segment(x0, x1)])
+    w0, w1 = _frobenius_initial_matrix(100, x0), _frobenius_initial_matrix(100, x1)
+    assert np.abs(u @ w0.T - w1.T).max() < 1e-9
 
 
 @pytest.mark.parametrize("func", [pi_series, pi_series_by_recurrence, frobenius_basis,
@@ -350,7 +351,6 @@ def _initial_matrix_by_horner(order, x0):
 
 @pytest.mark.parametrize("order, x0", [(48, 1 / 200), (60, 1 / 100), (80, 1 / 70)])
 def test_initial_matrix_matches_former_horner(order, x0):
-    picard_fuchs._import_numpy()
     got = _frobenius_initial_matrix(order, x0)
     want = _initial_matrix_by_horner(order, x0)
     assert np.array_equal(got, want)
