@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm
+from typing import NamedTuple
 
 from .series import LogSeries, RationalSeries, poly
 
@@ -311,17 +312,27 @@ def dform_coefficients() -> tuple[tuple[int, ...], ...]:
 
 # -- numeric monodromy ----------------------------------------------------------
 #
-# numpy and scipy make up most of the package's import time and only the
-# floating-point transport needs them, so each function that uses them
-# imports them itself.
+# The solutions are continued by local power series on plain complex floats
+# (Mezzarobba & Salvy, arXiv:0904.2452; van der Hoeven, TCS 1999): at each
+# step centre c the d/dx form is re-centred at c, and its recurrence gives the
+# Taylor coefficients of a solution from its state (y, y', y'') at c.
 
-
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on first use.  The transport calls
-    the integrator through this module-level name, so a replacement bound
-    here from outside is what runs."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
+# a step reaches at most this fraction of the distance from its centre to the
+# nearest singular point, so the terms of its series shrink like 3^-n
+_STEP_FRACTION = 1 / 3
+# a step's series stops once two consecutive terms of every solution are this
+# small against the solution's state; one that runs to _MAX_TERMS fails
+_TERM_EPS = 1e-17
+_MAX_TERMS = 200
+# each circle is walked as an inscribed regular polygon; 2 sin(pi/19) < 1/3, so
+# a chord of a circle of radius r around a singular point spans one step
+_CHORDS = 19
+# m(m-1)...(m-k+1) as a polynomial in m, low degree first, for k = 0 .. 3
+_FALLING = ((1,), (0, 1), (0, -1, 1), (0, 2, -3, 1))
+# the largest Frobenius order whose coefficients, times k(k-1), stay finite
+# floats: they grow like 36^k and pass 1e308 at k = 198
+_MAX_FLOAT_ORDER = 197
+_IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -338,18 +349,23 @@ class MonodromyResult:
 
 
 def _frobenius_initial_matrix(order: int, x0: float):
-    """Rows (y_i, y_i', y_i'') at the real basepoint, for the Frobenius basis."""
-    import numpy as np
-    basis = frobenius_basis(order)
+    """Rows (y_i, y_i', y_i'') at the real basepoint, for the Frobenius basis.
+    One Horner pass over the exact coefficients c_k = num/den of each part
+    gives f, f' and f''; the int true divisions num/den, k*num/den and
+    k*(k-1)*num/den round exactly as float() of the Fraction would."""
     lx = math.log(x0)
     rows = []
-    for ls in basis:
+    for ls in frobenius_basis(order):
         y = yp = ypp = 0.0
         for j, part in enumerate(ls.parts):
-            # the k-th derivative without its k exact-zero leading terms
-            d1 = part.deriv()
-            f0, f1, f2 = (RationalSeries(s.coeffs[k:]).evalf(x0)
-                          for k, s in enumerate((part, d1, d1.deriv())))
+            f0 = f1 = f2 = 0.0
+            for k in range(len(part.coeffs) - 1, -1, -1):
+                num, den = part.coeffs[k].numerator, part.coeffs[k].denominator
+                f0 = f0 * x0 + num / den
+                if k >= 1:
+                    f1 = f1 * x0 + k * num / den
+                if k >= 2:
+                    f2 = f2 * x0 + k * (k - 1) * num / den
             y += f0 * lx ** j
             yp += f1 * lx ** j + (j * f0 * lx ** (j - 1) / x0 if j >= 1 else 0.0)
             ypp += f2 * lx ** j
@@ -358,69 +374,163 @@ def _frobenius_initial_matrix(order: int, x0: float):
             if j >= 2:
                 ypp += j * (j - 1) * f0 * lx ** (j - 2) / x0 ** 2
         rows.append((y, yp, ypp))
-    return np.array(rows, dtype=complex)
+    return rows
 
 
-def _segment(z0: complex, z1: complex):
-    return (lambda t: z0 + t * (z1 - z0), lambda t: z1 - z0)
+def _taylor_shift(p, c: complex) -> list:
+    """Coefficients of p(c + u) in u, low degree first."""
+    q = list(p)
+    for i in range(len(q) - 1):
+        for j in range(len(q) - 2, i - 1, -1):
+            q[j] += c * q[j + 1]
+    return q
+
+
+def _step_recurrence(c: complex, h: complex) -> list[list[complex]]:
+    """The operator's recurrence at the centre c, on the scaled Taylor
+    coefficients b_n = a_n h^n of a solution y(c + u) = sum a_n u^n.
+
+    With P_k(u) = p_k(c + u) of degree 2 + k, the coefficient of u^N in
+    sum_k P_k y^(k) is sum_(s=-2..3) C_s(N+s) a_(N+s), where
+    C_s(m) = sum_k [u^(k-s)]P_k m(m-1)..(m-k+1) and C_3(m) = p3(c) m(m-1)(m-2).
+    So b_n = sum_(s=-2..2) E_s(n-3+s) b_(n-3+s) / (n(n-1)(n-2)) with
+    E_s = -C_s h^(3-s) / p3(c); the polynomials E_(-2) .. E_2 are returned,
+    low degree first."""
+    shifted = [_taylor_shift(p, c) for p in dform_coefficients()]
+    out = []
+    for s in range(-2, 3):
+        e = [0j] * 4
+        for k in range(max(s, 0), 4):
+            for d, f in enumerate(_FALLING[k]):
+                e[d] += shifted[k][k - s] * f
+        scale = -h ** (3 - s) / shifted[3][0]
+        out.append([scale * v for v in e])
+    return out
+
+
+def _taylor_step(states, c: complex, h: complex):
+    """Carry the states (y, y', y'') of solutions from c to c + h; returns
+    the new states and the number of Taylor terms summed.
+
+    The stopping rule is a heuristic, not a bound: the series of a solution
+    is cut once two consecutive terms b_n fall below _TERM_EPS times the
+    largest of its b_0, b_1, b_2, as the later terms shrink about
+    geometrically when |h| is a third of the radius of convergence."""
+    rec = _step_recurrence(c, h)
+    # each solution's b_0 .. b_n, after two zeros that stand for b_(-2), b_(-1)
+    series = [[0j, 0j, y, yp * h, ypp * h * h / 2] for y, yp, ypp in states]
+    limits = [_TERM_EPS * max(abs(b[2]), abs(b[3]), abs(b[4])) for b in series]
+    quiet = 0
+    for n in range(3, _MAX_TERMS):
+        inv = 1 / (n * (n - 1) * (n - 2))
+        w0, w1, w2, w3, w4 = [(((e[3] * m + e[2]) * m + e[1]) * m + e[0]) * inv
+                              for m, e in zip(range(n - 5, n), rec)]
+        small = True
+        for b, limit in zip(series, limits):
+            # b[n-3] is b_(n-5)
+            t = w0 * b[n - 3] + w1 * b[n - 2] + w2 * b[n - 1] + w3 * b[n] + w4 * b[n + 1]
+            b.append(t)
+            small = small and abs(t) <= limit
+        quiet = quiet + 1 if small else 0
+        if quiet == 2:
+            break
+    else:
+        raise ToleranceNotMet(f"Taylor series at {c:.6g} did not converge "
+                              f"within {_MAX_TERMS} terms")
+    out = []
+    for b in series:
+        y = yp = ypp = 0j
+        for k in range(len(b) - 1, 1, -1):
+            y += b[k]
+            yp += (k - 2) * b[k]
+            ypp += (k - 2) * (k - 3) * b[k]
+        out.append((y, yp / h, ypp / (h * h)))
+    return out, len(b) - 2
+
+
+class LegSolution(NamedTuple):
+    states: list          # the states (y, y', y'') at the end of the leg
+    nfev: int             # Taylor terms summed, per solution
+
+
+def solve_ivp(leg, states) -> LegSolution:
+    """Carry the states (y, y', y'') of solutions along a polygonal leg, given
+    by its vertices.  Each step reaches at most _STEP_FRACTION of the distance
+    from its centre to the nearest singular point.  The transport calls this
+    through the module-level name, so a replacement bound here from outside
+    is what runs."""
+    terms = 0
+    c = leg[0]
+    for z in leg[1:]:
+        while c != z:
+            reach = _STEP_FRACTION * min(abs(c - float(p)) for p in SINGULAR_POINTS)
+            if abs(z - c) <= reach:
+                h, nxt = z - c, z
+            else:
+                h = (z - c) * (reach / abs(z - c))
+                nxt = c + h
+            states, n = _taylor_step(states, c, h)
+            terms += n
+            c = nxt
+    return LegSolution(states, terms)
 
 
 def _circle(center: complex, radius: float, start_angle: float = math.pi):
-    # counterclockwise, starting and ending at center + radius*exp(i*start_angle)
-    return (lambda t: center + radius * cmath.exp(1j * (start_angle + 2 * math.pi * t)),
-            lambda t: radius * 2j * math.pi * cmath.exp(1j * (start_angle + 2 * math.pi * t)))
+    """The chord polygon of the counterclockwise circle, starting and ending
+    at center + radius*exp(i*start_angle)."""
+    return tuple(center + radius * cmath.exp(1j * (start_angle + 2 * math.pi * k / _CHORDS))
+                 for k in range(_CHORDS + 1))
 
 
-def _transport(legs):
-    """The fundamental matrix U of the companion system U' = C(x) U of the
-    d/dx form, carried along the legs from U = I; U is flattened row-wise."""
-    import numpy as np
-    p0, p1, p2, p3 = dform_coefficients()
-    u = np.eye(3, dtype=complex)
-    for path, dpath in legs:
-        def rhs(t, y):
-            # C has rows e1, e2 and (c0, c1, c2) with c_k = -p_k/p3
-            x, d = path(t), dpath(t)
-            lead = _polyval(p3, x)
-            c0, c1, c2 = (-_polyval(p, x) / lead for p in (p0, p1, p2))
-            v = y.tolist()
-            row2 = [c0 * a + c1 * b + c2 * c for a, b, c in zip(v[0:3], v[3:6], v[6:9])]
-            return [d * e for e in v[3:9] + row2]
-        sol = solve_ivp(rhs, (0.0, 1.0), u.reshape(-1), method="DOP853",
-                        rtol=1e-12, atol=1e-14)
-        if not sol.success:
-            raise ToleranceNotMet(f"integration failed: {sol.message}")
-        u = sol.y[:, -1].reshape(3, 3)
-    return u
+def _transport(legs, states=_IDENTITY):
+    """The states (y, y', y'') of solutions carried along the legs.  From the
+    identity (the unit states), row j of the result is column j of the
+    fundamental matrix of the companion system."""
+    for leg in legs:
+        states = solve_ivp(leg, states).states
+    return states
 
 
 def _loop_legs(point: Fraction, basepoint: float):
+    """The loop as polygonal legs, each given by its vertices."""
     if point == Fraction(0):
         return [_circle(0.0, basepoint, start_angle=0.0)]
     if point == Fraction(1, 36):
         c, r = 1 / 36, 1 / 72   # half the distance to the nearest singular point
-        return [_segment(basepoint, c - r), _circle(c, r), _segment(c - r, basepoint)]
+        return [(basepoint, c - r), _circle(c, r), (c - r, basepoint)]
     if point == Fraction(1, 4):
         c, r = 1 / 4, 1 / 9
         lift = 0.05j            # detour above the singular point at 1/36
-        up = [_segment(basepoint, basepoint + lift),
-              _segment(basepoint + lift, c - r + lift),
-              _segment(c - r + lift, c - r)]
-        down = [_segment(c - r, c - r + lift),
-                _segment(c - r + lift, basepoint + lift),
-                _segment(basepoint + lift, basepoint)]
-        return up + [_circle(c, r)] + down
+        up = (basepoint, basepoint + lift, c - r + lift, c - r)
+        return [up, _circle(c, r), up[::-1]]
     raise ValueError(f"{point} is not a finite singular point of the equation")
 
 
+def _mul3(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _inverse3(m):
+    """The adjugate over the determinant."""
+    d = _det3(m)
+    return [[(m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+              - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]) / d
+             for j in range(3)] for i in range(3)]
+
+
+def _max_abs_difference(a, b) -> float:
+    return max(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
 def _analytic_unipotent():
-    import numpy as np
     two_pi_i = 2j * math.pi
-    return np.array([
-        [1, 0, 0],
-        [two_pi_i, 1, 0],
-        [two_pi_i ** 2, 2 * two_pi_i, 1],
-    ])
+    return [[1, 0, 0], [two_pi_i, 1, 0], [two_pi_i ** 2, 2 * two_pi_i, 1]]
 
 
 def numeric_monodromy(point, basepoint=Fraction(1, 100), tol: float = 1e-6) -> MonodromyResult:
@@ -446,28 +556,26 @@ def numeric_monodromy(point, basepoint=Fraction(1, 100), tol: float = 1e-6) -> M
     if not 0 < bf < 1 / 36:
         raise ValueError("basepoint must lie in (0, 1/36)")
     order = max(48, int(20 / -math.log10(36 * bf)) + 14)
-    if order > 400:
+    if order > _MAX_FLOAT_ORDER:
         raise ValueError("basepoint too close to the convergence boundary at 1/36")
-    import numpy as np
     w = _frobenius_initial_matrix(order, bf)
+    w_inv = _inverse3(w)
 
     def loop_matrix(legs):
-        t = _transport(legs)
-        mt = np.linalg.solve(w.T, t @ w.T)
-        return mt.T
+        # row i of the transported w is the state of the continued y_i,
+        # sum_j M_ij (y_j, y_j', y_j''), so the transport is M w
+        return _mul3(_transport(legs, w), w_inv)
 
     if point == Fraction(0):
-        analytic = _analytic_unipotent()
-        numeric = loop_matrix(_loop_legs(point, bf))
-        residual = float(np.abs(numeric - analytic).max())
+        m = _analytic_unipotent()
+        residual = _max_abs_difference(loop_matrix(_loop_legs(point, bf)), m)
         if residual > tol:
             raise ToleranceNotMet(
                 f"calibration loop around 0 off by {residual:.3e} > {tol:.3e}")
-        m = analytic
         order2 = None
     else:
         m = loop_matrix(_loop_legs(point, bf))
-        order2 = float(np.abs(m @ m - np.eye(3)).max())
+        order2 = _max_abs_difference(_mul3(m, m), _IDENTITY)
         residual = order2
         if order2 > tol:
             raise ToleranceNotMet(
@@ -477,7 +585,7 @@ def numeric_monodromy(point, basepoint=Fraction(1, 100), tol: float = 1e-6) -> M
         loop=str(point),
         matrix=tuple(tuple(complex(v) for v in row) for row in m),
         residual=residual,
-        det=complex(np.linalg.det(m)),
-        trace=complex(np.trace(m)),
+        det=complex(_det3(m)),
+        trace=complex(m[0][0] + m[1][1] + m[2][2]),
         order2_residual=order2,
     )

@@ -209,14 +209,6 @@ class RationalSeries:
             out.append(Fraction(power[k - 1], k * d ** k))
         return RationalSeries(out, 1)
 
-    # -- numeric evaluation -------------------------------------------------
-
-    def evalf(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc * x ** self.lead if self.lead else acc
-
 
 def poly(values, top: int | None = None) -> RationalSeries:
     """A polynomial as a series; pad with zeros up to ``top`` if given."""

@@ -204,9 +204,14 @@ def test_exact_paths_leave_numeric_stack_unloaded(argv):
     assert _probe(*argv) == {"code": 0, "loaded": []}
 
 
-def test_monodromy_loads_numpy_and_scipy_only():
-    assert _probe("pf", "monodromy", "--point=1/36") == {"code": 0,
-                                                         "loaded": ["numpy", "scipy"]}
+def test_monodromy_leaves_numeric_stack_unloaded():
+    assert _probe("pf", "monodromy", "--point=1/36") == {"code": 0, "loaded": []}
+
+
+def test_pf_monodromy_basepoint_near_the_boundary_fails_distinctly():
+    result, code = invoke("pf", "monodromy", "--point", "1/36", "--basepoint", "1/45")
+    assert code == 1 and result.status == "fail"
+    assert "convergence boundary" in result.payload["got"]
 
 
 @pytest.mark.parametrize("op", ["series", "schwarzian", "standard-form", "mirror-map"])

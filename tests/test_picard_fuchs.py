@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -12,11 +13,13 @@ from k3mirror.picard_fuchs import (
     ToleranceNotMet,
     ThetaOperator,
     _compare,
+    _IDENTITY,
     _frobenius_initial_matrix,
+    _loop_legs,
     _schwarzian_of,
-    _segment,
     _standard_chart,
     _t_prime,
+    _taylor_step,
     _transport,
     apply_operator,
     dform_coefficients,
@@ -27,9 +30,11 @@ from k3mirror.picard_fuchs import (
     pi_series,
     pi_series_by_recurrence,
     schwarzian_check,
+    solve_ivp,
     standard_form_check,
     z_of_x,
 )
+from k3mirror.modular import S1BAR, S2BAR, TBAR
 from k3mirror.series import RationalSeries, poly
 
 TOL = 1e-6
@@ -204,6 +209,9 @@ def test_monodromy_rejects_bad_input():
         numeric_monodromy(0, basepoint=Fraction(1, 2))
     with pytest.raises(ValueError):
         numeric_monodromy(0, basepoint=Fraction(1000, 36001))
+    # Frobenius order 220 at 1/45, whose coefficients are too large for floats
+    with pytest.raises(ValueError, match="convergence boundary"):
+        numeric_monodromy(Fraction(1, 36), basepoint=Fraction(1, 45))
     with pytest.raises(ToleranceNotMet):
         numeric_monodromy(0, tol=1e-16)
     for tol in (float("nan"), float("inf"), 0, -1):
@@ -246,8 +254,9 @@ def test_transport_matches_frobenius_continuation():
     literal = ((0, -6, 108), (0, 1, -132, 972), (0, 0, 3, -180, 864), (0, 0, 0, 1, -40, 144))
     assert dform_coefficients() == literal
     x0, x1 = 1 / 200, 1 / 60
-    u = _transport([_segment(x0, x1)])
-    w0, w1 = _frobenius_initial_matrix(100, x0), _frobenius_initial_matrix(100, x1)
+    u = np.array(_transport([(x0, x1)])).T      # the fundamental matrix
+    w0 = np.array(_frobenius_initial_matrix(100, x0))
+    w1 = np.array(_frobenius_initial_matrix(100, x1))
     assert np.abs(u @ w0.T - w1.T).max() < 1e-9
 
 
@@ -351,7 +360,7 @@ def _initial_matrix_by_horner(order, x0):
 
 @pytest.mark.parametrize("order, x0", [(48, 1 / 200), (60, 1 / 100), (80, 1 / 70)])
 def test_initial_matrix_matches_former_horner(order, x0):
-    got = _frobenius_initial_matrix(order, x0)
+    got = np.array(_frobenius_initial_matrix(order, x0), dtype=complex)
     want = _initial_matrix_by_horner(order, x0)
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()     # bit for bit, signed zeros included
@@ -367,3 +376,102 @@ def test_compare_reports_first_mismatch():
     lhs = poly((1, Fraction(1, 2), 3, 5))
     assert _compare(lhs, (1, Fraction(1, 2), 3), 2) == SeriesCheck(True, 2)
     assert _compare(lhs, (1, 0, 4, 5), 3) == SeriesCheck(False, 3, (1, "1/2", "0"))
+
+
+def test_largest_float_order_is_finite():
+    rows = _frobenius_initial_matrix(197, 1 / 47)
+    assert all(math.isfinite(v) for row in rows for v in row)
+    with pytest.raises(OverflowError):
+        _frobenius_initial_matrix(198, 1 / 47)
+    # 1/47 is the last basepoint 1/k below the boundary that is accepted
+    res = numeric_monodromy(Fraction(1, 36), basepoint=Fraction(1, 47), tol=TOL)
+    assert res.order2_residual < TOL
+
+
+# -- the two halves of the paper meet -------------------------------------------
+
+_TABLE1 = {Fraction(0): TBAR, Fraction(1, 36): S1BAR,
+           # the connector to 1/4 passes above 1/36, which conjugates S2BAR by S1BAR
+           Fraction(1, 4): np.array(S1BAR) @ np.array(S2BAR) @ np.array(S1BAR)}
+
+
+@pytest.mark.parametrize("basepoint", [Fraction(1, 200), Fraction(1, 100), Fraction(1, 70)])
+@pytest.mark.parametrize("point", SINGULAR_POINTS)
+def test_monodromy_is_the_table1_generator(point, basepoint):
+    # in the basis (1, t, 6t^2) of U+<12>, with 2 pi i t = y1/y0, each loop
+    # matrix is the integral isometry that Table 1 assigns to the loop
+    two_pi_i = 2j * math.pi
+    d = np.diag([1, 1 / two_pi_i, 6 / two_pi_i ** 2])
+    m = np.array(numeric_monodromy(point, basepoint=basepoint).matrix)
+    assert np.abs(d @ m @ np.linalg.inv(d) - np.array(_TABLE1[point])).max() < 1e-9
+
+
+# -- the former scipy DOP853 transport, kept as a reference ----------------------
+
+def _former_segment(z0, z1):
+    return (lambda t: z0 + t * (z1 - z0), lambda t: z1 - z0)
+
+
+def _former_circle(center, radius, start_angle=math.pi):
+    return (lambda t: center + radius * cmath.exp(1j * (start_angle + 2 * math.pi * t)),
+            lambda t: radius * 2j * math.pi * cmath.exp(1j * (start_angle + 2 * math.pi * t)))
+
+
+def _former_loop_legs(point, basepoint):
+    if point == 0:
+        return [_former_circle(0.0, basepoint, start_angle=0.0)]
+    if point == Fraction(1, 36):
+        c, r = 1 / 36, 1 / 72
+        return [_former_segment(basepoint, c - r), _former_circle(c, r),
+                _former_segment(c - r, basepoint)]
+    c, r, lift = 1 / 4, 1 / 9, 0.05j
+    up = [_former_segment(basepoint, basepoint + lift),
+          _former_segment(basepoint + lift, c - r + lift),
+          _former_segment(c - r + lift, c - r)]
+    down = [_former_segment(c - r, c - r + lift),
+            _former_segment(c - r + lift, basepoint + lift),
+            _former_segment(basepoint + lift, basepoint)]
+    return up + [_former_circle(c, r)] + down
+
+
+def _transport_dop853(legs):
+    """The fundamental matrix of the companion system, integrated by scipy's
+    DOP853 along the true circles at rtol 1e-12."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    p0, p1, p2, p3 = dform_coefficients()
+
+    def polyval(p, x):
+        return sum(c * x ** i for i, c in enumerate(p))
+
+    u = np.eye(3, dtype=complex)
+    for path, dpath in legs:
+        def rhs(t, y):
+            x, d = path(t), dpath(t)
+            c0, c1, c2 = (-polyval(p, x) / polyval(p3, x) for p in (p0, p1, p2))
+            v = y.reshape(3, 3)
+            return (d * np.vstack([v[1], v[2], c0 * v[0] + c1 * v[1] + c2 * v[2]])).reshape(-1)
+        sol = scipy_solve_ivp(rhs, (0.0, 1.0), u.reshape(-1), method="DOP853",
+                              rtol=1e-12, atol=1e-14)
+        assert sol.success
+        u = sol.y[:, -1].reshape(3, 3)
+    return u
+
+
+@pytest.mark.parametrize("basepoint", [1 / 200, 1 / 100, 1 / 70])
+@pytest.mark.parametrize("point", SINGULAR_POINTS)
+def test_transport_matches_former_dop853(point, basepoint):
+    want = _transport_dop853(_former_loop_legs(point, basepoint))
+    got = np.array(_transport(_loop_legs(point, basepoint))).T
+    assert np.abs(got - want).max() < 1e-9 * np.abs(want).max()
+
+
+def test_leg_solution_counts_terms():
+    sol = solve_ivp((1 / 200, 1 / 60), _IDENTITY)
+    assert sol.nfev > 0
+    assert sol.states == _transport([(1 / 200, 1 / 60)])
+
+
+def test_taylor_step_beyond_convergence_fails():
+    # from 1/100 the series converges only within 1/100 of the centre
+    with pytest.raises(ToleranceNotMet, match="did not converge"):
+        _taylor_step(_IDENTITY, 1 / 100, 0.02)

@@ -110,13 +110,6 @@ def test_add_sub_inverse(xs):
     assert z.is_zero_through(z.top)
 
 
-def test_evalf():
-    s = poly((1, 2, 1), top=2)
-    assert s.evalf(3.0) == 16.0
-    laurent = RationalSeries([1], lead=-1)
-    assert laurent.evalf(4.0) == 0.25
-
-
 def test_log_series_theta_rule():
     # theta(f log^2 + g log + h) = (theta f) log^2 + (2f + theta g) log + (g + theta h)
     f = poly((0, 1), top=5)       # x
