@@ -92,15 +92,11 @@ def fricke(n: int) -> FracLinear:
 
 def gamma0_plus_generators(n: int = 6, variant: str = "plus") -> tuple[FracLinear, ...]:
     """Generators of Gamma_0(n)+ (all Atkin-Lehner involutions adjoined) or
-    Gamma_0(n)+n (Fricke only).
-
-    The full lists are wired for the worked case n = 6; for other n only the
-    translation and the Fricke representative are returned.
-    """
+    Gamma_0(n)+n (Fricke only), for the worked case n = 6."""
     if variant not in ("plus", "plus6"):
         raise ValueError("variant must be 'plus' or 'plus6'")
     if n != 6:
-        return (translation(), fricke(n))
+        raise ValueError("the explicit generator lists are wired for n = 6")
     if variant == "plus":
         return (translation(), fricke(6), FracLinear(((3, 1), (6, 3)), 3))
     return (translation(), fricke(6), FracLinear(((5, 2), (12, 5))))

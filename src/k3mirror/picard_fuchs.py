@@ -108,7 +108,6 @@ def pi_series(order: int) -> RationalSeries:
 def pi_series_by_recurrence(order: int) -> RationalSeries:
     """The same coefficients from the recurrence the theta table gives,
     N^3 a_N = -Q_1(N-1) a_{N-1} - Q_2(N-2) a_{N-2}, with a_0 = 1."""
-    _check_order_cap(order)
     return RationalSeries(_recurrence(order, 1))
 
 
@@ -118,9 +117,8 @@ def _recurrence(order: int, start: int, lower=()) -> list[Fraction]:
 
     The solution sum_i C(m, i) g_(m-i) log^i x is annihilated when
     sum_i C(m, i) sum_j Q_j^(i)(N-j) [x^(N-j)] g_(m-i) = 0 for every N, and
-    Q_0(N) = N^3 isolates b_N.  No order cap here: the Schwarzian checks
-    expand t' four orders past the order asked for, so their working order
-    may exceed MAX_ORDER."""
+    Q_0(N) = N^3 isolates b_N."""
+    _check_order_cap(order)
     m = len(lower)
     derivs = [_Q]
     for _ in range(m):
@@ -157,7 +155,6 @@ def frobenius_basis(order: int):
     """
     if order < 4:
         raise ValueError("order must be at least 4")
-    _check_order_cap(order)
     a = _recurrence(order, 1)
     b = _recurrence(order, 0, (a,))
     c = _recurrence(order, 0, (a, b))
@@ -186,7 +183,6 @@ def mirror_map(order: int) -> MirrorMap:
     """Exact mirror map data through the given order; x_of_q = q + O(q^2)."""
     if order < 4:
         raise ValueError("order must be at least 4")
-    _check_order_cap(order)
     h = _log_shift(order)
     q_of_x = h.exp().shift(1)          # q = x exp(g1/Pi)
     x_of_q = q_of_x.revert()
@@ -217,20 +213,18 @@ def z_of_x(x: Fraction | None) -> Fraction | None:
     return Fraction(48) * x / (12 * x + 1)
 
 
-def _t_prime(order: int) -> RationalSeries:
-    """(2 pi i) t' = 1/x + (g1/Pi)' through x^(order-1), as an exact Laurent
-    series; the constant 2 pi i drops out of every Schwarzian."""
-    inv_x = RationalSeries([1] + [0] * order, -1)
-    return inv_x + _log_shift(order).deriv()
+def _theta_t(order: int) -> RationalSeries:
+    """(2 pi i) theta t = 1 + theta(g1/Pi) through x^order, theta = x d/dx;
+    the constant 2 pi i drops out of every Schwarzian."""
+    return _log_shift(order).theta() + 1
 
 
-def _schwarzian_of(tp: RationalSeries) -> RationalSeries:
-    """{t, x} = t'''/t' - (3/2)(t''/t')^2 from a Laurent t'."""
-    tpp = tp.deriv()
-    tppp = tpp.deriv()
-    s1 = tppp / tp
-    s2 = tpp / tp
-    return s1 - (s2 * s2) * Fraction(3, 2)
+def _schwarzian_of(dt: RationalSeries) -> RationalSeries:
+    """x^2 {t, x} from dt = theta t.  With s = log x the chain rule gives
+    {t, x} = {t, s}/x^2 + {s, x}, and {s, x} = 1/(2x^2), so
+    x^2 {t, x} = {t, s} + 1/2 = theta w - w^2/2 + 1/2, w = theta^2 t / theta t."""
+    w = dt.theta() / dt
+    return w.theta() - w * w * Fraction(1, 2) + Fraction(1, 2)
 
 
 def _compare(lhs: RationalSeries, want, order: int) -> SeriesCheck:
@@ -246,13 +240,9 @@ def schwarzian_check(order: int) -> SeriesCheck:
     1 - 52x + 1500x^2 - 6048x^3 + 15552x^4, through the given order."""
     if order < 8:
         raise ValueError("order must be at least 8")
-    _check_order_cap(order)
-    # {t,x} is known through x^(order-2); the weight's exact factor x^2 lifts
-    # the product to x^order
-    schw = _schwarzian_of(_t_prime(order))
-    disc =poly((1, -40, 144), top=schw.top + 2)     # (1 - 36x)(1 - 4x)
-    weight = (disc * disc * 2).shift(2)
-    return _compare(schw * weight, poly(_SCHWARZIAN_NUMERATOR, top=order).coeffs, order)
+    s = _schwarzian_of(_theta_t(order))
+    disc = poly((1, -40, 144), top=order)     # (1 - 36x)(1 - 4x)
+    return _compare(s * disc * disc * 2, poly(_SCHWARZIAN_NUMERATOR, top=order).coeffs, order)
 
 
 def _standard_chart(s: RationalSeries, top: int) -> RationalSeries:
@@ -275,10 +265,8 @@ def standard_form_check(order: int) -> SeriesCheck:
     the Schwarzian cocycle."""
     if order < 8:
         raise ValueError("order must be at least 8")
-    _check_order_cap(order)
-    schw = _schwarzian_of(_t_prime(order))
     # z^2 {t,z} = (z/x)^2 (dx/dz)^2 x^2 {t,x}, and (z/x)(dx/dz) = 1/(1 - z/4)
-    lhs = _standard_chart(schw.shift(2), order)
+    lhs = _standard_chart(_schwarzian_of(_theta_t(order)), order)
     rhs = [Fraction(0)] * (order + 1)
     rhs[0] += Fraction(1, 2) * (1 - _STANDARD_ALPHA[0] ** 2)
     rhs[1] += _STANDARD_BETA[0]

@@ -51,9 +51,10 @@ def test_generators_plus():
 
 
 def test_generators_other_n():
-    gens = gamma0_plus_generators(15, "plus")
-    assert len(gens) == 2
-    assert gens[1] == fricke(15) and gens[1].scale == 15
+    with pytest.raises(ValueError, match="wired for n = 6"):
+        gamma0_plus_generators(15, "plus")
+    w15 = fricke(15)
+    assert (w15.m, w15.scale) == (((0, 1), (-15, 0)), 15)
     # non-squarefree level keeps the square part the matrix cannot absorb
     w4 = fricke(4)
     assert (w4.m, w4.scale) == (((0, 1), (-4, 0)), 4)

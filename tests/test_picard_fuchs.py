@@ -15,11 +15,12 @@ from k3mirror.picard_fuchs import (
     _compare,
     _IDENTITY,
     _frobenius_initial_matrix,
+    _log_shift,
     _loop_legs,
     _schwarzian_of,
     _standard_chart,
-    _t_prime,
     _taylor_step,
+    _theta_t,
     _transport,
     apply_operator,
     dform_coefficients,
@@ -138,13 +139,12 @@ def test_mirror_map_expansion():
 def test_schwarzian_exact():
     chk = schwarzian_check(40)
     assert chk.ok and chk.first_mismatch is None
-    # spot check the target quartic itself
-    schw = _schwarzian_of(_t_prime(12))
-    w = schw.top
-    weight = poly((0, 0, 2), top=w)
+    # spot check the target quartic itself; the helper gives x^2 {t,x}
+    s = _schwarzian_of(_theta_t(12))
+    weight = poly((2,), top=s.top)
     for f in ((1, -36), (1, -36), (1, -4), (1, -4)):
-        weight = weight * poly(f, top=w)
-    lhs = schw * weight
+        weight = weight * poly(f, top=s.top)
+    lhs = s * weight
     assert lhs.coeff(0) == 1
     assert lhs.coeff(1) == -52
     assert lhs.coeff(2) == 1500
@@ -152,12 +152,30 @@ def test_schwarzian_exact():
 
 def test_schwarzian_mobius_invariance():
     # replacing t by 3t or t+1 leaves {t,x} unchanged
-    tp = _t_prime(16)
-    base = _schwarzian_of(tp)
-    scaled = _schwarzian_of(tp * 3)
-    assert base.eq_through(scaled, base.top - 2)
-    shifted = _schwarzian_of(tp)   # d(t+1)/dx = dt/dx
-    assert base.eq_through(shifted, base.top - 2)
+    dt = _theta_t(16)
+    base = _schwarzian_of(dt)
+    scaled = _schwarzian_of(dt * 3)
+    assert base.eq_through(scaled, base.top)
+    shifted = _schwarzian_of(dt)   # theta(t+1) = theta t
+    assert base.eq_through(shifted, base.top)
+
+
+def _schwarzian_by_laurent(order):
+    """The former route: t'''/t' - (3/2)(t''/t')^2 on the Laurent series
+    (2 pi i) t' = 1/x + (g1/Pi)', times x^2."""
+    tp = RationalSeries([1] + [0] * order, -1) + _log_shift(order).deriv()
+    tpp = tp.deriv()
+    s2 = tpp / tp
+    return (tpp.deriv() / tp - s2 * s2 * Fraction(3, 2)).shift(2)
+
+
+@pytest.mark.parametrize("order", [8, 9, 12, 20, 33, 60, 120])
+def test_theta_form_matches_laurent_schwarzian(order):
+    # x^2 {t,x} = {t, log x} + 1/2 against the direct Laurent computation
+    new = _schwarzian_of(_theta_t(order))
+    old = _schwarzian_by_laurent(order)
+    assert (new.lead, new.top) == (old.lead, old.top) == (0, order)
+    assert new.coeffs == old.coeffs
 
 
 def test_standard_form_exact():
