@@ -23,7 +23,7 @@ from functools import cache
 from math import comb, lcm
 from typing import NamedTuple
 
-from .series import LogSeries, RationalSeries, poly
+from .series import LogSeries, RationalSeries, _push, poly
 
 SINGULAR_POINTS = (Fraction(0), Fraction(1, 36), Fraction(1, 4))
 
@@ -84,7 +84,9 @@ def _pderiv(p):
     return tuple(i * p[i] for i in range(1, len(p))) or (0,)
 
 
-def _check_order_cap(order: int) -> None:
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds the maximum {MAX_ORDER}")
 
@@ -94,53 +96,63 @@ def pi_series(order: int) -> RationalSeries:
     sum_{k+l+m=N} (2N)!/(k! l! m!)^2, computed by the multinomial form with
     the sum over l collapsed by Vandermonde's identity,
     sum_l C(N-k, l)^2 = C(2(N-k), N-k)."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    _check_order_cap(order)
+    _check_order(order)
     central = [comb(2 * j, j) for j in range(order + 1)]
     out = []
     for n in range(order + 1):
         tot = sum(comb(n, k) ** 2 * central[n - k] for k in range(n + 1))
         out.append(central[n] * tot)
-    return RationalSeries(out)
+    return RationalSeries._from_ints(out)
 
 
 def pi_series_by_recurrence(order: int) -> RationalSeries:
     """The same coefficients from the recurrence the theta table gives,
     N^3 a_N = -Q_1(N-1) a_{N-1} - Q_2(N-2) a_{N-2}, with a_0 = 1."""
-    return RationalSeries(_recurrence(order, 1))
+    return _frobenius_layers(order, 1)[0]
 
 
-def _recurrence(order: int, start: int, lower=()) -> list[Fraction]:
-    """Coefficients b_0 = start, b_1 .. b_order of the log layer g_m, where
-    lower = (g_0, .., g_(m-1)) holds the coefficients of the layers below.
+# The coefficient numerators and the denominator of the log layers Pi, g1, g2
+# through the highest order asked so far in this process.  They are extended
+# in place, never beyond MAX_ORDER, and handed out as prefixes.
+_LAYERS = [[[1], 1], [[0], 1], [[0], 1]]
 
-    The solution sum_i C(m, i) g_(m-i) log^i x is annihilated when
+
+def _frobenius_layers(order: int, count: int = 3) -> list[RationalSeries]:
+    """The first count of the layers Pi, g1, g2 through x^order."""
+    _check_order(order)
+    _extend_layers(order, count)
+    return [RationalSeries._from_ints(nums[:order + 1], den) for nums, den in _LAYERS[:count]]
+
+
+def _extend_layers(order: int, count: int) -> None:
+    """Extend the first count stored layers through x^order.
+
+    Layer g_m has b_0 = 1 for m = 0 and 0 above.  The solution
+    sum_i C(m, i) g_(m-i) log^i x is annihilated when
     sum_i C(m, i) sum_j Q_j^(i)(N-j) [x^(N-j)] g_(m-i) = 0 for every N, and
     Q_0(N) = N^3 isolates b_N."""
-    _check_order_cap(order)
-    m = len(lower)
     derivs = [_Q]
-    for _ in range(m):
+    for _ in range(1, count):
         derivs.append(tuple(_pderiv(q) for q in derivs[-1]))
-    b = [Fraction(start)]
-    # (j, polynomial, layer): x^N collects polynomial(N-j) [x^(N-j)] layer;
-    # the layer g_k below enters with C(m, k) Q_j^(m-k)
-    terms = [(j, _Q[j], b) for j in (1, 2)]
-    terms += [(j, tuple(comb(m, k) * c for c in derivs[m - k][j]), g)
-              for k, g in enumerate(lower) for j in (0, 1, 2)]
-    for n in range(1, order + 1):
-        # the sum runs on an integer numerator over a common denominator
-        num, den = 0, 1
-        for j, q, g in terms:
-            if j <= n:
-                x = g[n - j]
-                common = lcm(den, x.denominator)
-                num *= common // den
-                num += _polyval(q, n - j) * x.numerator * (common // x.denominator)
-                den = common
-        b.append(Fraction(num, -den * n ** 3))
-    return b
+    for m, layer in enumerate(_LAYERS[:count]):
+        if len(layer[0]) > order:
+            continue
+        # extended on a copy, so an interrupted extension leaves the layer whole
+        nums, den = list(layer[0]), layer[1]
+        lower = _LAYERS[:m]
+        low_den = lcm(*(d for _, d in lower))
+        # (j, polynomial, numerators, factor): x^N collects polynomial(N-j)
+        # [x^(N-j)] of a lower layer, whose numerators times factor lie over
+        # low_den; the layer g_k below enters with C(m, k) Q_j^(m-k)
+        terms = [(j, tuple(comb(m, k) * c for c in derivs[m - k][j]), g, low_den // d)
+                 for k, (g, d) in enumerate(lower) for j in (0, 1, 2)]
+        for n in range(len(nums), order + 1):
+            own = sum(_polyval(_Q[j], n - j) * nums[n - j] for j in (1, 2) if j <= n)
+            low = sum(_polyval(q, n - j) * g[n - j] * f for j, q, g, f in terms if j <= n)
+            common = lcm(den, low_den)
+            den = _push(nums, den, -own * (common // den) - low * (common // low_den),
+                        n ** 3 * (common // den))
+        layer[:] = nums, den
 
 
 def frobenius_basis(order: int):
@@ -155,10 +167,7 @@ def frobenius_basis(order: int):
     """
     if order < 4:
         raise ValueError("order must be at least 4")
-    a = _recurrence(order, 1)
-    b = _recurrence(order, 0, (a,))
-    c = _recurrence(order, 0, (a, b))
-    pi, g1, g2 = RationalSeries(a), RationalSeries(b), RationalSeries(c)
+    pi, g1, g2 = _frobenius_layers(order)
     return LogSeries([pi]), LogSeries([g1, pi]), LogSeries([g2, g1 * 2, pi])
 
 
@@ -175,8 +184,8 @@ class MirrorMap:
 
 def _log_shift(order: int) -> RationalSeries:
     """g1/Pi through x^order, so that log x + g1/Pi is 2 pi i t."""
-    a = _recurrence(order, 1)
-    return RationalSeries(_recurrence(order, 0, (a,))) / RationalSeries(a)
+    pi, g1 = _frobenius_layers(order, 2)
+    return g1 / pi
 
 
 def mirror_map(order: int) -> MirrorMap:
@@ -249,13 +258,11 @@ def _standard_chart(s: RationalSeries, top: int) -> RationalSeries:
     """s(x(z)) / (1 - z/4)^2 through z^top, for a power series s and the chart
     x(z) = (z/48)/(1 - z/4).  As x^k / (1 - z/4)^2 = (z/48)^k (1 - z/4)^-(k+2),
     the coefficient of z^m is sum_k s_k C(m+1, k+1) / (12^k 4^m); the sum runs
-    on integer numerators over one common denominator."""
-    scaled = [s.coeff(k) / 12 ** k for k in range(top + 1)]
-    d = lcm(*(c.denominator for c in scaled))
-    nums = [c.numerator * (d // c.denominator) for c in scaled]
-    return RationalSeries([
-        Fraction(sum(nums[k] * comb(m + 1, k + 1) for k in range(m + 1)), d * 4 ** m)
-        for m in range(top + 1)])
+    on the numerators of s over one common denominator."""
+    nums = [c * 12 ** (top - k) for k, c in enumerate(s._nums_from(0, top))]
+    return RationalSeries._from_ints(
+        [sum(nums[k] * comb(m + 1, k + 1) for k in range(m + 1)) * 4 ** (top - m)
+         for m in range(top + 1)], s.den * 12 ** top * 4 ** top)
 
 
 def standard_form_check(order: int) -> SeriesCheck:
@@ -340,15 +347,17 @@ def _frobenius_initial_matrix(order: int, x0: float):
     """Rows (y_i, y_i', y_i'') at the real basepoint, for the Frobenius basis.
     One Horner pass over the exact coefficients c_k = num/den of each part
     gives f, f' and f''; the int true divisions num/den, k*num/den and
-    k*(k-1)*num/den round exactly as float() of the Fraction would."""
+    k*(k-1)*num/den are correctly rounded, so they equal float() of the
+    Fractions c_k, k c_k and k(k-1) c_k."""
     lx = math.log(x0)
     rows = []
     for ls in frobenius_basis(order):
         y = yp = ypp = 0.0
         for j, part in enumerate(ls.parts):
             f0 = f1 = f2 = 0.0
-            for k in range(len(part.coeffs) - 1, -1, -1):
-                num, den = part.coeffs[k].numerator, part.coeffs[k].denominator
+            den = part.den
+            for k in range(len(part.nums) - 1, -1, -1):
+                num = part.nums[k]
                 f0 = f0 * x0 + num / den
                 if k >= 1:
                     f1 = f1 * x0 + k * num / den

@@ -1,8 +1,8 @@
 """Truncated power/Laurent series with exact rational coefficients, and
 log-graded stacks of them.
 
-A RationalSeries stores coefficients for exponents lead .. lead+len-1;
-exponents below lead are exact zeros, exponents above are *unknown*
+A RationalSeries stores coefficients for exponents lead .. lead+len-1, as
+int numerators over one common denominator; exponents below lead are exact zeros, exponents above are *unknown*
 (truncated, not zero).  Arithmetic tracks how far results stay reliable:
 the usual min-of-tops rule for sums and Cauchy products, one fewer term is
 never lost on differentiation in theta form, and division requires a unit
@@ -12,59 +12,104 @@ never lost on differentiation in theta form, and division requires a unit
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 
+def _push(nums: list, den: int, s: int, t: int) -> int:
+    """Append the coefficient s / (t den), t != 0, to the int numerators nums
+    over the denominator den, and return the denominator.  When den cannot
+    hold the new coefficient, every numerator is rescaled in place to the
+    smallest denominator that can."""
+    if t < 0:
+        s, t = -s, -t
+    q, r = divmod(s, t)
+    if not r:
+        nums.append(q)
+        return den
+    g = gcd(s, t)
+    extra = t // g
+    nums[:] = [x * extra for x in nums]
+    nums.append(s // g)
+    return den * extra
+
+
 class RationalSeries:
-    __slots__ = ("lead", "coeffs")
+    """Coefficients are stored once, as the int numerators ``nums`` over one
+    positive denominator ``den``, reduced by their gcd; ``coeffs`` and
+    ``coeff`` read them back as Fractions.  The arithmetic runs on the ints."""
+
+    __slots__ = ("lead", "nums", "den")
 
     def __init__(self, coeffs, lead: int = 0):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        self.lead = lead
-        if not self.coeffs:
+        fs = [c if type(c) is int else Fraction(c) for c in coeffs]
+        if not fs:
             raise ValueError("need at least one coefficient")
+        # over the lcm of reduced denominators the numerators have gcd 1
+        den = lcm(*(f.denominator for f in fs))
+        self.nums = tuple(f.numerator * (den // f.denominator) for f in fs)
+        self.den = den
+        self.lead = lead
+
+    @classmethod
+    def _from_ints(cls, nums, den: int = 1, lead: int = 0) -> "RationalSeries":
+        """The series with the int numerators nums over den > 0, reduced."""
+        g = gcd(den, *nums)
+        if g > 1:
+            nums = [x // g for x in nums]
+            den //= g
+        s = object.__new__(cls)
+        s.nums, s.den, s.lead = tuple(nums), den, lead
+        return s
 
     # -- basics ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of x^lead .. x^top."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+    @property
     def top(self) -> int:
         """Highest exponent with a known coefficient."""
-        return self.lead + len(self.coeffs) - 1
+        return self.lead + len(self.nums) - 1
 
     def coeff(self, k: int) -> Fraction:
         if k < self.lead:
             return Fraction(0)
         if k > self.top:
             raise ValueError(f"coefficient of x^{k} lies beyond the truncation (top {self.top})")
-        return self.coeffs[k - self.lead]
+        return Fraction(self.nums[k - self.lead], self.den)
+
+    def _nums_from(self, lo: int, hi: int) -> list[int]:
+        """Numerators of x^lo .. x^hi, hi <= top, with zeros below lead."""
+        return [self.nums[k - self.lead] if k >= self.lead else 0 for k in range(lo, hi + 1)]
 
     def strip(self) -> "RationalSeries":
         """Drop exact leading zeros, advancing the leading exponent."""
         i = 0
-        while i < len(self.coeffs) - 1 and self.coeffs[i] == 0:
+        while i < len(self.nums) - 1 and not self.nums[i]:
             i += 1
         if i == 0:
             return self
-        return RationalSeries(self.coeffs[i:], self.lead + i)
+        return RationalSeries._from_ints(self.nums[i:], self.den, self.lead + i)
 
     def is_zero_through(self, k: int) -> bool:
         if k > self.top:
             raise ValueError("cannot certify zero beyond the truncation")
-        return all(self.coeff(j) == 0 for j in range(self.lead, k + 1))
+        return k < self.lead or not any(self.nums[:k - self.lead + 1])
 
     def truncate(self, top: int) -> "RationalSeries":
         if top >= self.lead:
-            keep = min(len(self.coeffs), top - self.lead + 1)
-            return RationalSeries(self.coeffs[:keep], self.lead)
+            return RationalSeries._from_ints(self.nums[:top - self.lead + 1], self.den, self.lead)
         if top >= 0:
             # everything known in [0, top] is an exact zero
-            return RationalSeries([Fraction(0)] * (top + 1), 0)
+            return RationalSeries._from_ints([0] * (top + 1))
         raise ValueError("truncation below the leading exponent")
 
     def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:6])
-        return f"RationalSeries(lead={self.lead}, [{head}{', ...' if len(self.coeffs) > 6 else ''}])"
+        head = ", ".join(str(self.coeff(k)) for k in range(self.lead, min(self.top, self.lead + 5) + 1))
+        return f"RationalSeries(lead={self.lead}, [{head}{', ...' if len(self.nums) > 6 else ''}])"
 
     def eq_through(self, other: "RationalSeries", top: int) -> bool:
         return all(self.coeff(k) == other.coeff(k)
@@ -74,10 +119,8 @@ class RationalSeries:
 
     def _promote(self, scalar) -> "RationalSeries":
         # a bare scalar is exact to every order; give it our window
-        top = max(self.top, 0)
-        coeffs = [Fraction(0)] * (top + 1)
-        coeffs[0] = Fraction(scalar)
-        return RationalSeries(coeffs, 0)
+        c = Fraction(scalar)
+        return RationalSeries._from_ints([c.numerator] + [0] * max(self.top, 0), c.denominator)
 
     def __add__(self, other):
         if not isinstance(other, RationalSeries):
@@ -86,13 +129,17 @@ class RationalSeries:
         top = min(self.top, other.top)
         if top < lead:
             raise ValueError("empty overlap of reliable coefficients")
-        return RationalSeries([self.coeff(k) + other.coeff(k) for k in range(lead, top + 1)], lead)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return RationalSeries._from_ints(
+            [a * fa + b * fb for a, b in zip(self._nums_from(lead, top), other._nums_from(lead, top))],
+            den, lead)
 
     def __radd__(self, other):
         return self + other
 
     def __neg__(self):
-        return RationalSeries([-c for c in self.coeffs], self.lead)
+        return RationalSeries._from_ints([-x for x in self.nums], self.den, self.lead)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, RationalSeries) else -Fraction(other))
@@ -103,19 +150,13 @@ class RationalSeries:
     def __mul__(self, other):
         if not isinstance(other, RationalSeries):
             c = Fraction(other)
-            return RationalSeries([c * x for x in self.coeffs], self.lead)
-        lead = self.lead + other.lead
-        top = min(self.top + other.lead, other.top + self.lead)
-        n = top - lead + 1
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                jmax = min(len(other.coeffs), n - i)
-                for j in range(jmax):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return RationalSeries(out, lead)
+            return RationalSeries._from_ints([c.numerator * x for x in self.nums],
+                                             self.den * c.denominator, self.lead)
+        # reliable through the shorter of the two windows
+        n = min(len(self.nums), len(other.nums))
+        a, rb = self.nums, other.nums[n - 1::-1]
+        return RationalSeries._from_ints([sum(map(mul, a, rb[n - 1 - m:])) for m in range(n)],
+                                         self.den * other.den, self.lead + other.lead)
 
     def __rmul__(self, other):
         return self * other
@@ -123,36 +164,40 @@ class RationalSeries:
     def __truediv__(self, other):
         if not isinstance(other, RationalSeries):
             c = Fraction(other)
-            return RationalSeries([x / c for x in self.coeffs], self.lead)
+            if not c:
+                raise ZeroDivisionError("division of a series by zero")
+            p, q = c.numerator, c.denominator
+            if p < 0:
+                p, q = -p, -q
+            return RationalSeries._from_ints([q * x for x in self.nums], self.den * p, self.lead)
         b = other.strip()
-        if b.coeffs[0] == 0:
+        if not b.nums[0]:
             raise ZeroDivisionError("division by a series with no known nonzero coefficient")
-        lead = self.lead - b.lead
-        n = min(len(self.coeffs), len(b.coeffs))
-        out = []
-        for k in range(n):
-            s = self.coeffs[k]
-            for j in range(1, k + 1):
-                if j < len(b.coeffs) and out[k - j]:
-                    s -= b.coeffs[j] * out[k - j]
-            out.append(s / b.coeffs[0])
-        return RationalSeries(out, lead)
+        # a/b = (b.den / a.den) (A/B) on the numerators A, B; the quotient A/B
+        # is built on ints over a running denominator
+        big_a, big_b = self.nums, b.nums
+        out, den = [], 1
+        for k in range(min(len(big_a), len(big_b))):
+            s = big_a[k] * den - sum(map(mul, big_b[1:k + 1], out[::-1]))
+            den = _push(out, den, s, big_b[0])
+        return RationalSeries._from_ints([x * b.den for x in out], den * self.den,
+                                         self.lead - b.lead)
 
     # -- calculus ---------------------------------------------------------
 
     def deriv(self) -> "RationalSeries":
         """d/dx; exponents drop by one, no reliable terms are lost."""
-        return RationalSeries([(self.lead + i) * c for i, c in enumerate(self.coeffs)],
-                              self.lead - 1)
+        return RationalSeries._from_ints([(self.lead + i) * x for i, x in enumerate(self.nums)],
+                                         self.den, self.lead - 1)
 
     def theta(self) -> "RationalSeries":
         """x d/dx."""
-        return RationalSeries([(self.lead + i) * c for i, c in enumerate(self.coeffs)],
-                              self.lead)
+        return RationalSeries._from_ints([(self.lead + i) * x for i, x in enumerate(self.nums)],
+                                         self.den, self.lead)
 
     def shift(self, k: int) -> "RationalSeries":
         """Multiply by x^k."""
-        return RationalSeries(self.coeffs, self.lead + k)
+        return RationalSeries._from_ints(self.nums, self.den, self.lead + k)
 
     # -- composition, exp, reversion --------------------------------------
 
@@ -166,48 +211,45 @@ class RationalSeries:
         top = min(self.top, inner.top)
         if top < 0:
             raise ValueError("no reliable coefficients in composition")
-        out = RationalSeries([self.coeff(top)] + [Fraction(0)] * top, 0)
+        out = RationalSeries([self.coeff(top)] + [0] * top, 0)
         for k in range(top - 1, -1, -1):
-            out = (out * b).truncate(top) + RationalSeries(
-                [self.coeff(k)] + [Fraction(0)] * top, 0)
+            out = (out * b).truncate(top) + RationalSeries([self.coeff(k)] + [0] * top, 0)
         return out.truncate(top)
 
     def exp(self) -> "RationalSeries":
         """exp of a series with positive valuation."""
         top = self.top
-        if top < 0 or any(self.coeff(k) != 0 for k in range(min(self.lead, 0), 1)):
+        if top < 0 or any(self._nums_from(min(self.lead, 0), 0)):
             raise ValueError("exp needs a series vanishing at the origin")
-        hs = [self.coeff(k) for k in range(top + 1)]
-        out = [Fraction(1)] + [Fraction(0)] * top
+        # n e_n = sum_k k h_k e_(n-k), with h = H / den, on ints over a
+        # running denominator
+        kh = [k * x for k, x in enumerate(self._nums_from(0, top))]
+        out, den = [1], 1
         for n in range(1, top + 1):
-            s = Fraction(0)
-            for k in range(1, n + 1):
-                if hs[k]:
-                    s += k * hs[k] * out[n - k]
-            out[n] = s / n
-        return RationalSeries(out, 0)
+            den = _push(out, den, sum(map(mul, kh[1:n + 1], out[::-1])), n * self.den)
+        return RationalSeries._from_ints(out, den)
 
     def revert(self) -> "RationalSeries":
         """Compositional inverse of a series x + O(x^2), by Lagrange inversion.
 
         With f = x u, the inverse has [q^k] = (1/k) [x^(k-1)] u^(-k).  The
-        powers of w = 1/u are taken on the integers W = d w, d the lcm of the
-        denominators of w, so the O(N^3) inner work is plain int arithmetic.
+        powers of w = 1/u are taken on its numerators W = d w, d its
+        denominator, so the O(N^3) inner work is plain int arithmetic.
         """
         f = self.strip()
-        if f.lead != 1 or f.coeffs[0] != 1:
+        if f.lead != 1 or f.nums[0] != f.den:
             raise ValueError("reversion needs a series of the form x + O(x^2)")
-        n = len(f.coeffs)
-        u = RationalSeries(f.coeffs)                     # f / x
-        w = (RationalSeries([1] + [0] * (n - 1)) / u).coeffs
-        d = lcm(*(c.denominator for c in w))
-        big_w = [c.numerator * (d // c.denominator) for c in w]
+        n = len(f.nums)
+        w = RationalSeries([1] + [0] * (n - 1)) / f.shift(-1)
+        d, big_w = w.den, w.nums
+        # [q^k] = W^k[x^(k-1)] / (k d^k), over the denominator lcm(1..n) d^n
+        m = lcm(*range(1, n + 1))
         power = [1] + [0] * (n - 1)
         out = []
         for k in range(1, n + 1):
-            power = [sum(map(mul, power[:m + 1], reversed(big_w[:m + 1]))) for m in range(n)]
-            out.append(Fraction(power[k - 1], k * d ** k))
-        return RationalSeries(out, 1)
+            power = [sum(map(mul, power[:j + 1], reversed(big_w[:j + 1]))) for j in range(n)]
+            out.append(power[k - 1] * (m // k) * d ** (n - k))
+        return RationalSeries._from_ints(out, m * d ** n, 1)
 
 
 def poly(values, top: int | None = None) -> RationalSeries:

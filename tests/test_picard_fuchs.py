@@ -1,5 +1,8 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +38,7 @@ from k3mirror.picard_fuchs import (
     standard_form_check,
     z_of_x,
 )
+from k3mirror import picard_fuchs
 from k3mirror.modular import S1BAR, S2BAR, TBAR
 from k3mirror.series import RationalSeries, poly
 
@@ -151,13 +155,14 @@ def test_schwarzian_exact():
 
 
 def test_schwarzian_mobius_invariance():
-    # replacing t by 3t or t+1 leaves {t,x} unchanged
+    # replacing t by 3t or -2t/7 leaves {t,x} unchanged; the second gives
+    # theta t a leading coefficient whose numerator is not a unit
     dt = _theta_t(16)
     base = _schwarzian_of(dt)
-    scaled = _schwarzian_of(dt * 3)
-    assert base.eq_through(scaled, base.top)
-    shifted = _schwarzian_of(dt)   # theta(t+1) = theta t
-    assert base.eq_through(shifted, base.top)
+    for c in (3, Fraction(-2, 7)):
+        scaled = dt * c
+        assert scaled.nums[0] not in (scaled.den, -scaled.den)
+        assert base.eq_through(_schwarzian_of(scaled), base.top)
 
 
 def _schwarzian_by_laurent(order):
@@ -278,6 +283,13 @@ def test_transport_matches_frobenius_continuation():
     assert np.abs(u @ w0.T - w1.T).max() < 1e-9
 
 
+@pytest.mark.parametrize("order", [-1, -3])
+@pytest.mark.parametrize("func", [pi_series, pi_series_by_recurrence])
+def test_negative_orders_are_refused(func, order):
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        func(order)
+
+
 @pytest.mark.parametrize("func", [pi_series, pi_series_by_recurrence, frobenius_basis,
                                   mirror_map, schwarzian_check, standard_form_check])
 def test_orders_above_max_order_are_refused(func):
@@ -285,6 +297,48 @@ def test_orders_above_max_order_are_refused(func):
         func(MAX_ORDER + 1)
     with pytest.raises(ValueError, match="exceeds the maximum"):
         func(3_000_000_000)
+
+
+# -- the Frobenius layers, computed once per process ------------------------------
+
+def _layer_digest(order):
+    """(lead, numerators, denominator) of every part of the Frobenius basis and
+    of the log shift through the given order."""
+    parts = [p for ls in frobenius_basis(order) for p in ls.parts] + [_log_shift(order)]
+    return repr([(p.lead, p.nums, p.den) for p in parts])
+
+
+def test_layers_do_not_depend_on_call_order():
+    code = ("from k3mirror.picard_fuchs import frobenius_basis, _log_shift\n"
+            "parts = [p for ls in frobenius_basis(30) for p in ls.parts] + [_log_shift(30)]\n"
+            "print(repr([(p.lead, p.nums, p.den) for p in parts]))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env={**os.environ, "PYTHONPATH": src}).stdout.strip()
+    frobenius_basis(197)
+    assert _layer_digest(30) == fresh
+
+
+def test_layer_prefixes_survive_extension(monkeypatch):
+    monkeypatch.setattr(picard_fuchs, "_LAYERS", [[[1], 1], [[0], 1], [[0], 1]])
+    early = _layer_digest(20)
+    frobenius_basis(150)
+    assert [len(nums) for nums, _ in picard_fuchs._LAYERS] == [151] * 3
+    assert _layer_digest(20) == early
+    # the period alone extends only its own layer
+    middle = _layer_digest(150)
+    pi_series_by_recurrence(170)
+    assert [len(nums) for nums, _ in picard_fuchs._LAYERS] == [171, 151, 151]
+    assert _layer_digest(150) == middle
+
+
+def test_layers_refuse_orders_above_max_order():
+    frobenius_basis(40)
+    before = [(len(nums), den) for nums, den in picard_fuchs._LAYERS]
+    for func in (frobenius_basis, pi_series_by_recurrence, _log_shift):
+        with pytest.raises(ValueError, match="exceeds the maximum"):
+            func(MAX_ORDER + 1)
+    assert [(len(nums), den) for nums, den in picard_fuchs._LAYERS] == before
 
 
 # -- the former hand-written copies of the operator, kept as references -------

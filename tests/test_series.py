@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from k3mirror.picard_fuchs import mirror_map
 from k3mirror.series import LogSeries, RationalSeries, geometric, poly
@@ -175,3 +176,222 @@ def test_mirror_map_integral_and_inverse_through_60():
     assert all(mm.x_of_q.coeff(k).denominator == 1 for k in range(61))
     q_of_x = mm.log_shift.exp().shift(1)
     assert q_of_x.compose(mm.x_of_q).eq_through(poly((0, 1), top=60), 60)
+
+
+# -- the former Fraction series, kept as a reference for the int core -----------
+
+class _FractionSeries:
+    """The former RationalSeries: one Fraction per coefficient, and every
+    operation on Fractions."""
+
+    def __init__(self, coeffs, lead=0):
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.lead = lead
+
+    @property
+    def top(self):
+        return self.lead + len(self.coeffs) - 1
+
+    def coeff(self, k):
+        if k < self.lead:
+            return Fraction(0)
+        if k > self.top:
+            raise ValueError("beyond the truncation")
+        return self.coeffs[k - self.lead]
+
+    def strip(self):
+        i = 0
+        while i < len(self.coeffs) - 1 and self.coeffs[i] == 0:
+            i += 1
+        return _FractionSeries(self.coeffs[i:], self.lead + i)
+
+    def truncate(self, top):
+        if top >= self.lead:
+            return _FractionSeries(self.coeffs[:top - self.lead + 1], self.lead)
+        if top >= 0:
+            return _FractionSeries([0] * (top + 1), 0)
+        raise ValueError("truncation below the leading exponent")
+
+    def __add__(self, other):
+        if not isinstance(other, _FractionSeries):
+            other = _FractionSeries([other] + [0] * max(self.top, 0))
+        lead, top = min(self.lead, other.lead), min(self.top, other.top)
+        if top < lead:
+            raise ValueError("empty overlap of reliable coefficients")
+        return _FractionSeries([self.coeff(k) + other.coeff(k) for k in range(lead, top + 1)],
+                               lead)
+
+    def __neg__(self):
+        return _FractionSeries([-c for c in self.coeffs], self.lead)
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, _FractionSeries) else -Fraction(other))
+
+    def __mul__(self, other):
+        if not isinstance(other, _FractionSeries):
+            return _FractionSeries([Fraction(other) * x for x in self.coeffs], self.lead)
+        n = min(len(self.coeffs), len(other.coeffs))
+        out = [Fraction(0)] * n
+        for i in range(n):
+            for j in range(n - i):
+                out[i + j] += self.coeffs[i] * other.coeffs[j]
+        return _FractionSeries(out, self.lead + other.lead)
+
+    def __truediv__(self, other):
+        if not isinstance(other, _FractionSeries):
+            return _FractionSeries([x / Fraction(other) for x in self.coeffs], self.lead)
+        b = other.strip()
+        if b.coeffs[0] == 0:
+            raise ZeroDivisionError("division by a series with no known nonzero coefficient")
+        out = []
+        for k in range(min(len(self.coeffs), len(b.coeffs))):
+            s = self.coeffs[k]
+            for j in range(1, min(k, len(b.coeffs) - 1) + 1):
+                s -= b.coeffs[j] * out[k - j]
+            out.append(s / b.coeffs[0])
+        return _FractionSeries(out, self.lead - b.lead)
+
+    def deriv(self):
+        return _FractionSeries([(self.lead + i) * c for i, c in enumerate(self.coeffs)],
+                               self.lead - 1)
+
+    def theta(self):
+        return _FractionSeries([(self.lead + i) * c for i, c in enumerate(self.coeffs)],
+                               self.lead)
+
+    def shift(self, k):
+        return _FractionSeries(self.coeffs, self.lead + k)
+
+    def exp(self):
+        top = self.top
+        if top < 0 or any(self.coeff(k) != 0 for k in range(min(self.lead, 0), 1)):
+            raise ValueError("exp needs a series vanishing at the origin")
+        hs = [self.coeff(k) for k in range(top + 1)]
+        out = [Fraction(1)] + [Fraction(0)] * top
+        for n in range(1, top + 1):
+            out[n] = sum(k * hs[k] * out[n - k] for k in range(1, n + 1)) / n
+        return _FractionSeries(out, 0)
+
+    def revert(self):
+        f = self.strip()
+        if f.lead != 1 or f.coeffs[0] != 1:
+            raise ValueError("reversion needs a series of the form x + O(x^2)")
+        n = len(f.coeffs)
+        w = (_FractionSeries([1] + [0] * (n - 1)) / _FractionSeries(f.coeffs)).coeffs
+        power = [Fraction(1)] + [Fraction(0)] * (n - 1)
+        out = []
+        for k in range(1, n + 1):
+            power = [sum(power[i] * w[m - i] for i in range(m + 1)) for m in range(n)]
+            out.append(power[k - 1] / k)
+        return _FractionSeries(out, 1)
+
+
+def _both(new_op, old_op):
+    """Run an operation on the int core and on the Fraction reference: both
+    raise the same exception, or both give the same lead, top and coeffs."""
+    try:
+        want = old_op()
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            new_op()
+        return
+    got = new_op()
+    assert (got.lead, got.top, got.coeffs) == (want.lead, want.top, want.coeffs)
+    # stored once, reduced: the numerators over den have no common factor
+    assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
+    assert all(type(x) is int for x in got.nums)
+
+
+fractions_with_zeros = st.one_of(st.just(Fraction(0)),
+                                 st.fractions(min_value=-9, max_value=9, max_denominator=12))
+# Laurent and power series of one to eight coefficients, all-zero ones included
+series_args = st.tuples(st.one_of(st.lists(fractions_with_zeros, min_size=1, max_size=8),
+                                  st.lists(st.just(Fraction(0)), min_size=1, max_size=4)),
+                        st.integers(min_value=-2, max_value=2))
+scalars = st.one_of(st.just(Fraction(0)), st.integers(min_value=-5, max_value=5),
+                    st.fractions(min_value=-7, max_value=7, max_denominator=9))
+
+
+def _pair(args):
+    coeffs, lead = args
+    return RationalSeries(coeffs, lead), _FractionSeries(coeffs, lead)
+
+
+@settings(max_examples=300)
+@given(series_args, series_args)
+def test_ring_operations_match_fraction_reference(xa, xb):
+    (a, ra), (b, rb) = _pair(xa), _pair(xb)
+    _both(lambda: a + b, lambda: ra + rb)
+    _both(lambda: a - b, lambda: ra - rb)
+    _both(lambda: a * b, lambda: ra * rb)
+    _both(lambda: a / b, lambda: ra / rb)
+
+
+@settings(max_examples=200)
+@given(series_args, st.fractions(min_value=-9, max_value=9, max_denominator=12)
+       .filter(lambda c: c != 0).map(lambda c: c if c.numerator not in (1, -1) else c * 2),
+       st.lists(fractions_with_zeros, min_size=0, max_size=7), st.integers(-2, 2))
+def test_division_by_non_unit_leading_coefficient(xa, b0, rest, lead):
+    # the divisor's leading coefficient is never +-1/d, so its numerator is a
+    # non-unit over the common denominator
+    (a, ra), (b, rb) = _pair(xa), _pair(([b0] + rest, lead))
+    _both(lambda: a / b, lambda: ra / rb)
+    _both(lambda: b / b, lambda: rb / rb)
+
+
+@settings(max_examples=200)
+@given(series_args, scalars)
+def test_scalar_operations_match_fraction_reference(xa, c):
+    a, ra = _pair(xa)
+    _both(lambda: a * c, lambda: ra * c)
+    _both(lambda: a / c, lambda: ra / c)
+    _both(lambda: a + c, lambda: ra + c)
+    _both(lambda: a - c, lambda: ra - c)
+    _both(lambda: -a, lambda: -ra)
+
+
+@settings(max_examples=200)
+@given(series_args, st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=9))
+def test_calculus_and_windows_match_fraction_reference(xa, k, top):
+    a, ra = _pair(xa)
+    _both(a.theta, ra.theta)
+    _both(a.deriv, ra.deriv)
+    _both(lambda: a.shift(k), lambda: ra.shift(k))
+    _both(a.strip, ra.strip)
+    _both(lambda: a.truncate(top), lambda: ra.truncate(top))
+    _both(a.exp, ra.exp)
+    _both(a.revert, ra.revert)
+
+
+# series with an exact zero constant term, so that exp applies
+vanishing_at_zero = st.tuples(st.lists(fractions_with_zeros, min_size=0, max_size=10)
+                              .map(lambda rest: [Fraction(0)] + rest),
+                              st.integers(min_value=-1, max_value=2))
+
+
+@settings(max_examples=200)
+@given(vanishing_at_zero)
+def test_exp_matches_fraction_reference(xa):
+    coeffs, lead = xa
+    if lead < 0:
+        coeffs = [Fraction(0)] * (1 - lead) + coeffs[1:]
+    a, ra = _pair((coeffs, lead))
+    _both(a.exp, ra.exp)
+
+
+@settings(max_examples=200)
+@given(monic_valuation_one)
+def test_revert_matches_fraction_reference(f):
+    _both(f.revert, _FractionSeries(f.coeffs, f.lead).revert)
+
+
+def test_single_coefficient_and_zero_series():
+    one = RationalSeries([Fraction(-3, 4)], 2)
+    assert (one.lead, one.top, one.nums, one.den) == (2, 2, (-3,), 4)
+    zero = RationalSeries([0, 0, 0], -1)
+    assert (zero.nums, zero.den) == ((0, 0, 0), 1)
+    assert zero.is_zero_through(1) and (zero * Fraction(5, 7)).den == 1
+    with pytest.raises(ZeroDivisionError):
+        one / zero
+    with pytest.raises(ZeroDivisionError):
+        one / 0
