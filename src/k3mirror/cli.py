@@ -16,9 +16,26 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import import_module
 
-from . import discriminant as disc_mod
-from . import lattices, modular, mukai, picard_fuchs
+# The submodules each subcommand calls.  run() imports them before it starts
+# the clock, so a call loads only what it runs (their own imports included)
+# and elapsed_ms leaves the imports out.
+_USES = {
+    "lattice": ("lattices",),
+    "disc": ("discriminant", "lattices"),
+    "mukai": ("mukai",),
+    "fm-partners": ("modular",),
+    "monodromy-index": ("modular",),
+    "verify-table1": ("modular",),
+    "verify-glue": ("discriminant", "lattices", "modular"),
+    "pf": ("picard_fuchs",),
+}
+
+# lattices.STANDARD_NAMES, written out so that building the parser imports
+# no submodule
+_STANDARD_NAMES = ("U", "E8minus", "two_n", "minus_two_n", "K3", "Mukai",
+                   "U_plus_Mn", "Mcheck_n")
 
 
 @dataclass
@@ -36,6 +53,7 @@ def _fail(operation: str, inputs, expected, got) -> dict:
 
 
 def _cmd_lattice(args) -> tuple[str, object]:
+    from . import lattices
     lat = lattices.make_standard(args.name, args.n)
     p, q = lattices.signature(lat)
     payload = lattices.lattice_to_obj(lat)
@@ -44,8 +62,9 @@ def _cmd_lattice(args) -> tuple[str, object]:
 
 
 def _cmd_disc(args) -> tuple[str, object]:
-    group = disc_mod.discriminant_group(lattices.make_standard(args.name, args.n))
-    return "value", {**disc_mod.disc_group_to_obj(group), "order": str(group.order)}
+    from . import discriminant, lattices
+    group = discriminant.discriminant_group(lattices.make_standard(args.name, args.n))
+    return "value", {**discriminant.disc_group_to_obj(group), "order": str(group.order)}
 
 
 def _parse_triple(text: str):
@@ -56,6 +75,7 @@ def _parse_triple(text: str):
 
 
 def _cmd_mukai(args) -> tuple[str, object]:
+    from . import mukai
     if args.degree % 2 or args.degree <= 0:
         raise ValueError("degree must be a positive even integer")
     ctx = mukai.rank_one_context(args.degree // 2)
@@ -81,10 +101,12 @@ def _cmd_mukai(args) -> tuple[str, object]:
 
 
 def _cmd_fm_partners(args) -> tuple[str, object]:
+    from . import modular
     return "value", modular.fm_partner_count(args.degree)
 
 
 def _cmd_monodromy_index(args) -> tuple[str, object]:
+    from . import modular
     n = args.n
     via_chain = modular.monodromy_index(n)
     via_primes = modular.fm_partner_count(2 * n)
@@ -95,13 +117,15 @@ def _cmd_monodromy_index(args) -> tuple[str, object]:
 
 
 def _cmd_verify_table1(_args) -> tuple[str, object]:
+    from . import modular
     report = modular.verify_degree12(6)
     return ("pass" if report.passed else "fail"), report.to_obj()
 
 
 def _cmd_verify_glue(args) -> tuple[str, object]:
+    from . import discriminant, lattices, modular
     n = args.n
-    gd = disc_mod.construct_mirror_embedding(n)
+    gd = discriminant.construct_mirror_embedding(n)
     id_right = lattices.Isometry.identity(gd.right)
     if n == 6:
         gens = modular.monodromy_generators(6)
@@ -112,7 +136,7 @@ def _cmd_verify_glue(args) -> tuple[str, object]:
                 "v-reflection": lattices.Isometry(modular.u_plus_mn(n),
                                                   ((1, 0, 0), (0, -1, 0), (0, 0, 1)))}
         expected = {"T": True, "S1": True, "v-reflection": n == 1}
-    results = {key: disc_mod.glue_extends(gd, g, id_right) is not None
+    results = {key: discriminant.glue_extends(gd, g, id_right) is not None
                for key, g in gens.items()}
     payload = {
         "n": n,
@@ -127,6 +151,7 @@ def _cmd_verify_glue(args) -> tuple[str, object]:
 
 
 def _cmd_pf(args) -> tuple[str, object]:
+    from . import picard_fuchs
     if args.pf_op == "series":
         by_sum = picard_fuchs.pi_series(args.order)
         by_rec = picard_fuchs.pi_series_by_recurrence(args.order)
@@ -189,12 +214,12 @@ def _build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[common], **kw)
 
     p = add_parser("lattice", help="build a standard lattice")
-    p.add_argument("name", choices=lattices.STANDARD_NAMES)
+    p.add_argument("name", choices=_STANDARD_NAMES)
     p.add_argument("--n", type=int, default=None)
     p.set_defaults(func=_cmd_lattice)
 
     p = add_parser("disc", help="discriminant group of a standard lattice")
-    p.add_argument("name", choices=lattices.STANDARD_NAMES)
+    p.add_argument("name", choices=_STANDARD_NAMES)
     p.add_argument("--n", type=int, default=None)
     p.set_defaults(func=_cmd_disc)
 
@@ -263,6 +288,12 @@ def run(argv) -> tuple[CommandResult | None, int]:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return None, int(exc.code or 0)
+    for name in _USES[args.command]:
+        import_module(f"{__package__}.{name}")
+    failures = (ValueError, ArithmeticError)
+    if args.command == "pf":
+        from .picard_fuchs import ToleranceNotMet
+        failures += (ToleranceNotMet,)
     start = time.perf_counter()
     # a float flag that is not finite is echoed as its string, which JSON can hold
     inputs = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
@@ -270,7 +301,7 @@ def run(argv) -> tuple[CommandResult | None, int]:
               if k not in ("func", "pretty", "timing") and v is not None}
     try:
         status, payload = args.func(args)
-    except (ValueError, ArithmeticError, picard_fuchs.ToleranceNotMet) as exc:
+    except failures as exc:
         status, payload = "fail", _fail(args.command, inputs, None, str(exc))
     elapsed = (time.perf_counter() - start) * 1000.0
     result = CommandResult(status, payload, elapsed,

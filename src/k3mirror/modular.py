@@ -76,11 +76,6 @@ class FracLinear:
         return cls(((1, 0), (0, 1)))
 
 
-def compose(g: FracLinear, h: FracLinear) -> FracLinear:
-    """Matrix product in the extended modular group, renormalized."""
-    return g @ h
-
-
 def translation() -> FracLinear:
     return FracLinear(((1, 1), (0, 1)))
 
@@ -302,8 +297,8 @@ def verify_degree12(n: int = 6) -> VerificationReport:
         {"scalars": scalars}))
 
     # (c) the composite relation through the anti-homomorphism
-    ss = compose(stab["S2"], stab["S1"])
-    ss_sq = compose(ss, ss)
+    ss = stab["S2"] @ stab["S1"]
+    ss_sq = ss @ ss
     lhs = R_map(ss, 6).matrix
     rhs = mat_mul(R_map(stab["S1"], 6).matrix, R_map(stab["S2"], 6).matrix)
     square_lhs = mat_mul(mat_mul(s1bar.matrix, s2bar.matrix),

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm
+from operator import add
 from typing import NamedTuple
 
 from .series import LogSeries, RationalSeries, _push, poly
@@ -95,13 +96,16 @@ def pi_series(order: int) -> RationalSeries:
     """The analytic period: coefficient of x^N is
     sum_{k+l+m=N} (2N)!/(k! l! m!)^2, computed by the multinomial form with
     the sum over l collapsed by Vandermonde's identity,
-    sum_l C(N-k, l)^2 = C(2(N-k), N-k)."""
+    sum_l C(N-k, l)^2 = C(2(N-k), N-k).  The binomials C(N, k) are one row
+    of Pascal's triangle, updated from the row before."""
     _check_order(order)
     central = [comb(2 * j, j) for j in range(order + 1)]
+    row = [1]
     out = []
     for n in range(order + 1):
-        tot = sum(comb(n, k) ** 2 * central[n - k] for k in range(n + 1))
+        tot = sum(c * c * central[n - k] for k, c in enumerate(row))
         out.append(central[n] * tot)
+        row = [1, *map(add, row, row[1:]), 1]
     return RationalSeries._from_ints(out)
 
 

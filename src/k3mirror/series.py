@@ -262,15 +262,6 @@ def poly(values, top: int | None = None) -> RationalSeries:
     return RationalSeries(vals, 0)
 
 
-def geometric(ratio, top: int) -> RationalSeries:
-    """1/(1 - ratio*x) through x^top."""
-    r = Fraction(ratio)
-    out = [Fraction(1)]
-    for _ in range(top):
-        out.append(out[-1] * r)
-    return RationalSeries(out, 0)
-
-
 class LogSeries:
     """Sum of parts[j] * log(x)^j with power-series parts.
 

@@ -196,8 +196,8 @@ def test_criterion_8_property_suites():
         for _ in range(1000):
             g, h = rng.choice(gens), rng.choice(gens)
             for _ in range(rng.randint(0, 3)):
-                h = km.compose(h, rng.choice(gens))
-            assert km.R_map(km.compose(g, h), 6).matrix \
+                h = h @ rng.choice(gens)
+            assert km.R_map(g @ h, 6).matrix \
                 == mat_mul(km.R_map(h, 6).matrix, km.R_map(g, 6).matrix)
 
         # period vectors of the mirror map are isotropic, >= 10^3 rational classes

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import k3mirror
-from k3mirror.cli import main, run
+from k3mirror.cli import _STANDARD_NAMES, main, run
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(k3mirror.__file__)))
 
@@ -172,16 +173,30 @@ def test_non_finite_flag_fails_with_strict_json(monkeypatch, capsys, tol):
 
 
 # A fresh interpreter imports k3mirror, optionally runs one CLI call, and
-# reports its exit code and which heavy third-party packages got loaded.
+# reports its exit code, which heavy third-party packages got loaded, which
+# k3mirror submodules got loaded, and which of them were loaded when run()
+# first read the clock.
 _PROBE = """
-import json, sys
+import json, sys, time
 import k3mirror
-code = 0
+
+def submodules():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("k3mirror."))
+
+code, at_clock = 0, None
 if sys.argv[1:]:
     from k3mirror.cli import run
+    clock = time.perf_counter
+    def first_reading():
+        global at_clock
+        if at_clock is None:
+            at_clock = submodules()
+        return clock()
+    time.perf_counter = first_reading
     code = run(sys.argv[1:])[1]
 print(json.dumps({"code": code,
-                  "loaded": [m for m in ("numpy", "scipy", "sympy") if m in sys.modules]}))
+                  "loaded": [m for m in ("numpy", "scipy", "sympy") if m in sys.modules],
+                  "modules": submodules(), "at_clock": at_clock}))
 """
 
 
@@ -201,11 +216,89 @@ def _probe(*argv):
     ("pf", "mirror-map", "--order=10"),
 ], ids=lambda argv: " ".join(argv) or "import")
 def test_exact_paths_leave_numeric_stack_unloaded(argv):
-    assert _probe(*argv) == {"code": 0, "loaded": []}
+    probe = _probe(*argv)
+    assert (probe["code"], probe["loaded"]) == (0, [])
 
 
 def test_monodromy_leaves_numeric_stack_unloaded():
-    assert _probe("pf", "monodromy", "--point=1/36") == {"code": 0, "loaded": []}
+    probe = _probe("pf", "monodromy", "--point=1/36")
+    assert (probe["code"], probe["loaded"]) == (0, [])
+
+
+PF = ["cli", "picard_fuchs", "series"]
+MODULAR = ["cli", "discriminant", "lattices", "linalg", "modular"]
+LOADS = [
+    (("pf", "series", "--order=8"), 0, PF),
+    (("pf", "schwarzian", "--order=8"), 0, PF),
+    (("pf", "standard-form", "--order=8"), 0, PF),
+    (("pf", "mirror-map", "--order=8"), 0, PF),
+    (("pf", "monodromy", "--point=0"), 0, PF),
+    (("pf", "monodromy", "--point=1/36", "--basepoint=1/45"), 1, PF),
+    (("lattice", "U_plus_Mn", "--n=6"), 0, ["cli", "lattices", "linalg"]),
+    (("disc", "two_n", "--n=6"), 0, ["cli", "discriminant", "lattices", "linalg"]),
+    (("mukai", "pair", "--degree=12", "--v=1,0,0", "--w=0,0,1"), 0,
+     ["cli", "lattices", "linalg", "mukai"]),
+    (("fm-partners", "12"), 0, MODULAR),
+    # a failing non-pf call must not load picard_fuchs for its except clause
+    (("fm-partners", "11"), 1, MODULAR),
+    (("monodromy-index", "6"), 0, MODULAR),
+    (("verify-table1",), 0, MODULAR),
+    (("verify-glue", "--n=3"), 0, MODULAR),
+]
+
+
+@pytest.mark.parametrize("argv, code, modules", LOADS, ids=[" ".join(a) for a, _, _ in LOADS])
+def test_subcommand_loads_only_its_modules_before_the_clock(argv, code, modules):
+    probe = _probe(*argv)
+    assert probe["code"] == code
+    assert probe["modules"] == modules
+    assert probe["at_clock"] == modules   # elapsed_ms times no import
+
+
+def test_plain_import_loads_no_submodule():
+    assert _probe()["modules"] == []
+
+
+# every public name of the package, by home module
+PUBLIC_NAMES = {
+    "discriminant": ["DiscriminantGroup", "GlueData", "construct_mirror_embedding",
+                     "cyclic_disc_isometry_count", "discriminant_group", "glue_extends",
+                     "in_kernel_star", "induced_disc_action"],
+    "lattices": ["IntLattice", "Isometry", "bilinear", "direct_sum", "hyperbolic_extension",
+                 "is_isometry", "make_standard", "orientation_sign_positive", "signature"],
+    "modular": ["FracLinear", "F_map", "R_map", "SOMatrix", "fm_partner_count", "fricke",
+                "gamma0_plus_generators", "monodromy_generators", "monodromy_index",
+                "translation", "verify_degree12"],
+    "mukai": ["Iota2", "MukaiVector", "NSContext", "ReflectCurve", "Shift", "Switch",
+              "Tensor", "Twist", "apply_action", "mirror_period", "mirror_period_ambient",
+              "mukai_pairing", "normalize_mukai_vector", "rank_one_context",
+              "reflect_curve", "ring_mul"],
+    "picard_fuchs": ["MirrorMap", "MonodromyResult", "ToleranceNotMet", "apply_operator",
+                     "frobenius_basis", "mirror_map", "numeric_monodromy", "pf_operator",
+                     "pi_series", "pi_series_by_recurrence", "schwarzian_check",
+                     "standard_form_check"],
+    "series": ["LogSeries", "RationalSeries"],
+}
+
+
+def test_lazy_namespace_resolves_every_public_name():
+    homes = {name: module for module, names in PUBLIC_NAMES.items() for name in names}
+    assert k3mirror._HOME == homes
+    listed = dir(k3mirror)
+    for name, module in homes.items():
+        home = importlib.import_module(f"k3mirror.{module}")
+        assert getattr(k3mirror, name) is getattr(home, name)
+        assert name in listed
+    assert "__version__" in listed
+    with pytest.raises(AttributeError):
+        k3mirror.not_a_public_name
+    with pytest.raises(ImportError):
+        from k3mirror import compose   # noqa: F401  (use g @ h)
+
+
+def test_parser_names_match_the_lattice_module():
+    from k3mirror import lattices
+    assert _STANDARD_NAMES == lattices.STANDARD_NAMES
 
 
 def test_pf_monodromy_basepoint_near_the_boundary_fails_distinctly():

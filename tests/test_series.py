@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3mirror.picard_fuchs import mirror_map
-from k3mirror.series import LogSeries, RationalSeries, geometric, poly
+from k3mirror.series import LogSeries, RationalSeries, poly
+
+
+def geometric(ratio, top: int) -> RationalSeries:
+    """1/(1 - ratio*x) through x^top."""
+    r = Fraction(ratio)
+    out = [Fraction(1)]
+    for _ in range(top):
+        out.append(out[-1] * r)
+    return RationalSeries(out, 0)
+
 
 coeff_lists = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
                        min_size=4, max_size=8)
