@@ -14,23 +14,10 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import import_module
 
-# The submodules each subcommand calls.  run() imports them before it starts
-# the clock, so a call loads only what it runs (their own imports included)
-# and elapsed_ms leaves the imports out.
-_USES = {
-    "lattice": ("lattices",),
-    "disc": ("discriminant", "lattices"),
-    "mukai": ("mukai",),
-    "fm-partners": ("modular",),
-    "monodromy-index": ("modular",),
-    "verify-table1": ("modular",),
-    "verify-glue": ("discriminant", "lattices", "modular"),
-    "pf": ("picard_fuchs",),
-}
+from ._frozen import Frozen
 
 # lattices.STANDARD_NAMES, written out so that building the parser imports
 # no submodule
@@ -38,13 +25,13 @@ _STANDARD_NAMES = ("U", "E8minus", "two_n", "minus_two_n", "K3", "Mukai",
                    "U_plus_Mn", "Mcheck_n")
 
 
-@dataclass
-class CommandResult:
-    status: str          # "pass" | "fail" | "value"
-    payload: object
-    elapsed_ms: float
-    pretty: bool = False     # --pretty: render for humans instead of JSON
-    timing: bool = False     # --timing: add elapsed_ms to the JSON
+class CommandResult(Frozen):
+    __slots__ = ("status",       # "pass" | "fail" | "value"
+                 "payload",
+                 "elapsed_ms",
+                 "pretty",       # --pretty: render for humans instead of JSON
+                 "timing")       # --timing: add elapsed_ms to the JSON
+    _defaults = {"pretty": False, "timing": False}
 
 
 def _fail(operation: str, inputs, expected, got) -> dict:
@@ -194,7 +181,67 @@ def _cmd_pf(args) -> tuple[str, object]:
     raise ValueError(f"unknown pf operation {args.pf_op!r}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Every subcommand: its help, its handler, the submodules it calls, and its
+# arguments as (flag, add_argument options) pairs; a subcommand with
+# operations maps each operation to its arguments instead.  run() imports the
+# submodules before it starts the clock, so a call loads only what it runs
+# (their own imports included) and elapsed_ms leaves the imports out.
+_N = {"type": int, "default": None}
+_TRIPLE = {"required": True, "help": "r,m,s"}
+_COMMANDS = {
+    "lattice": ("build a standard lattice", _cmd_lattice, ("lattices",),
+                (("name", {"choices": _STANDARD_NAMES}), ("--n", _N))),
+    "disc": ("discriminant group of a standard lattice", _cmd_disc,
+             ("discriminant", "lattices"),
+             (("name", {"choices": _STANDARD_NAMES}), ("--n", _N))),
+    "mukai": ("Mukai vector computations (Picard rank one)", _cmd_mukai, ("mukai",), {
+        "pair": (("--degree", {"type": int, "required": True}),
+                 ("--v", _TRIPLE), ("--w", _TRIPLE)),
+        "normalize": (("--degree", {"type": int, "required": True}),
+                      ("--v", _TRIPLE),
+                      ("--u", {"required": True, "help": "r,m,s companion pairing to -1"})),
+    }),
+    "fm-partners": ("number of Fourier-Mukai partners", _cmd_fm_partners, ("modular",),
+                    (("degree", {"type": int}),)),
+    "monodromy-index": ("monodromy index, cross-checked", _cmd_monodromy_index,
+                        ("modular",), (("n", {"type": int}),)),
+    "verify-table1": ("run the six-check degree-12 verification report",
+                      _cmd_verify_table1, ("modular",), ()),
+    "verify-glue": ("glue extension dichotomy", _cmd_verify_glue,
+                    ("discriminant", "lattices", "modular"),
+                    (("--n", {"type": int, "default": 6}),)),
+    "pf": ("Picard-Fuchs computations", _cmd_pf, ("picard_fuchs",), {
+        "series": (("--order", {"type": int, "default": 20}),),
+        "schwarzian": (("--order", {"type": int, "default": 40}),),
+        "standard-form": (("--order", {"type": int, "default": 30}),),
+        "mirror-map": (("--order", {"type": int, "default": 30}),),
+        "monodromy": (("--point", {"required": True, "help": "0, 1/36 or 1/4"}),
+                      ("--tol", {"type": float, "default": 1e-6}),
+                      ("--basepoint", {"default": "1/100"})),
+    }),
+}
+_FLAGS = ("--pretty", "--timing")
+
+
+def _subparsers(parser, dest: str, table: dict, argv):
+    """Add a subparsers action over the names in table to parser.  Returns
+    it with the names to build a subparser for, and the arguments after the
+    chosen name: the name that argv's first positional argument gives, or
+    every name for --help or a missing or unknown name."""
+    names, rest = list(table), []
+    for i, arg in enumerate(argv):
+        if arg not in _FLAGS:
+            if arg in table:
+                names, rest = [arg], argv[i + 1:]
+            break
+    # a usage line lists every name also when one subparser is built; an
+    # error about the name itself comes from a parser that has them all
+    metavar = "{%s}" % ",".join(table) if len(names) < len(table) else None
+    return parser.add_subparsers(dest=dest, required=True, metavar=metavar), names, rest
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv, with the subparser of the subcommand it calls."""
     # the flags are accepted at every level; SUPPRESS keeps a subcommand's
     # defaults from overwriting a flag given before it, so an absent flag
     # leaves no attribute at all
@@ -208,64 +255,19 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
         description="Exact lattice, modular and Picard-Fuchs computations "
                     "for the degree-12 K3 mirror family.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    p = add_parser("lattice", help="build a standard lattice")
-    p.add_argument("name", choices=_STANDARD_NAMES)
-    p.add_argument("--n", type=int, default=None)
-    p.set_defaults(func=_cmd_lattice)
-
-    p = add_parser("disc", help="discriminant group of a standard lattice")
-    p.add_argument("name", choices=_STANDARD_NAMES)
-    p.add_argument("--n", type=int, default=None)
-    p.set_defaults(func=_cmd_disc)
-
-    p = add_parser("mukai", help="Mukai vector computations (Picard rank one)")
-    psub = p.add_subparsers(dest="mukai_op", required=True)
-    pp = psub.add_parser("pair", parents=[common])
-    pp.add_argument("--degree", type=int, required=True)
-    pp.add_argument("--v", required=True, help="r,m,s")
-    pp.add_argument("--w", required=True, help="r,m,s")
-    pn = psub.add_parser("normalize", parents=[common])
-    pn.add_argument("--degree", type=int, required=True)
-    pn.add_argument("--v", required=True, help="r,m,s")
-    pn.add_argument("--u", required=True, help="r,m,s companion pairing to -1")
-    p.set_defaults(func=_cmd_mukai)
-
-    p = add_parser("fm-partners", help="number of Fourier-Mukai partners")
-    p.add_argument("degree", type=int)
-    p.set_defaults(func=_cmd_fm_partners)
-
-    p = add_parser("monodromy-index", help="monodromy index, cross-checked")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_monodromy_index)
-
-    p = add_parser("verify-table1",
-                   help="run the six-check degree-12 verification report")
-    p.set_defaults(func=_cmd_verify_table1)
-
-    p = add_parser("verify-glue", help="glue extension dichotomy")
-    p.add_argument("--n", type=int, default=6)
-    p.set_defaults(func=_cmd_verify_glue)
-
-    p = add_parser("pf", help="Picard-Fuchs computations")
-    pfsub = p.add_subparsers(dest="pf_op", required=True)
-    ps = pfsub.add_parser("series", parents=[common])
-    ps.add_argument("--order", type=int, default=20)
-    ps2 = pfsub.add_parser("schwarzian", parents=[common])
-    ps2.add_argument("--order", type=int, default=40)
-    ps3 = pfsub.add_parser("standard-form", parents=[common])
-    ps3.add_argument("--order", type=int, default=30)
-    ps4 = pfsub.add_parser("mirror-map", parents=[common])
-    ps4.add_argument("--order", type=int, default=30)
-    ps5 = pfsub.add_parser("monodromy", parents=[common])
-    ps5.add_argument("--point", required=True, help="0, 1/36 or 1/4")
-    ps5.add_argument("--tol", type=float, default=1e-6)
-    ps5.add_argument("--basepoint", default="1/100")
-    p.set_defaults(func=_cmd_pf)
+    sub, names, rest = _subparsers(parser, "command", _COMMANDS, argv)
+    for name in names:
+        help_, func, _, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=help_)
+        p.set_defaults(func=func)
+        if isinstance(arguments, dict):        # a subcommand with operations
+            opsub, ops, _ = _subparsers(p, f"{name}_op", arguments, rest)
+            targets = [(opsub.add_parser(op, parents=[common]), arguments[op]) for op in ops]
+        else:
+            targets = [(p, arguments)]
+        for target, spec in targets:
+            for flag, options in spec:
+                target.add_argument(flag, **options)
     return parser
 
 
@@ -283,12 +285,12 @@ def _render_pretty(result: CommandResult) -> str:
 
 def run(argv) -> tuple[CommandResult | None, int]:
     """Parse and execute; returns (result, exit_code)."""
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return None, int(exc.code or 0)
-    for name in _USES[args.command]:
+    for name in _COMMANDS[args.command][2]:
         import_module(f"{__package__}.{name}")
     failures = (ValueError, ArithmeticError)
     if args.command == "pf":

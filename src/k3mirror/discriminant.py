@@ -9,11 +9,11 @@ b(x,y) = (x,y) mod Z with representatives in [0,1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
+from ._frozen import Frozen
 from .lattices import IntLattice, Isometry, bilinear, direct_sum, make_standard, signature
 from .linalg import (
     Mat,
@@ -29,9 +29,12 @@ from .linalg import (
     smith_normal_decomp,
 )
 
+# the largest n the brute-force isometry count accepts; it loops over the
+# residues mod 2n, so a larger request is refused before the loop starts
+MAX_COUNT_N = 10**6
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+
+class DiscriminantGroup(Frozen):
     """A_L = L*/L presented by invariant factors d_1 | d_2 | ... (each > 1).
 
     ``generator_lifts`` are rational vectors in L-coordinates whose classes
@@ -39,13 +42,9 @@ class DiscriminantGroup:
     the pairings b(g_i, g_j) in [0,1).
     """
 
-    lattice: IntLattice
-    invariant_factors: tuple[int, ...]
-    generator_lifts: tuple[Vec, ...]
-    qvals: tuple[Fraction, ...]
-    bvals: Mat
-    left_transform: Mat          # U with U * gram * V diagonal; used for class coords
-    all_factors: tuple[int, ...]
+    __slots__ = ("lattice", "invariant_factors", "generator_lifts", "qvals", "bvals",
+                 "left_transform",   # U with U * gram * V diagonal; used for class coords
+                 "all_factors")
 
     @property
     def order(self) -> int:
@@ -107,26 +106,21 @@ def cyclic_disc_isometry_count(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if n > MAX_COUNT_N:
+        raise ValueError(f"n {n} exceeds the maximum {MAX_COUNT_N}")
     return sum(1 for a in range(1, 2 * n)
                if gcd(a, 2 * n) == 1 and (a * a - 1) % (4 * n) == 0)
 
 
-@dataclass(frozen=True)
-class GlueData:
+class GlueData(Frozen):
     """A finite-index even overlattice of an orthogonal sum N + K.
 
     ``over_basis`` expresses the overlattice basis in N+K coordinates
     (columns are basis vectors; its determinant is +-1/index).
     """
 
-    left: IntLattice
-    right: IntLattice
-    sub: IntLattice
-    over_basis: Mat
-    over_basis_inv: Mat
-    overlattice: IntLattice
-    glue_vector: Vec
-    index: int
+    __slots__ = ("left", "right", "sub", "over_basis", "over_basis_inv", "overlattice",
+                 "glue_vector", "index")
 
 
 def construct_mirror_embedding(n: int) -> GlueData:

@@ -13,10 +13,10 @@ out verbatim in the (e, v, f) basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._frozen import Frozen
 from .linalg import (
     Mat,
     Vec,
@@ -49,8 +49,7 @@ STANDARD_NAMES = ("U", "E8minus", "two_n", "minus_two_n", "K3", "Mukai",
                   "U_plus_Mn", "Mcheck_n")
 
 
-@dataclass(frozen=True)
-class IntLattice:
+class IntLattice(Frozen):
     """A finite-rank lattice with a symmetric nondegenerate integer Gram matrix.
 
     ``positive_basis``, when set, is a tuple of integer vectors spanning a
@@ -58,9 +57,8 @@ class IntLattice:
     :func:`orientation_sign_positive`.
     """
 
-    gram: Mat
-    label: str | None = None
-    positive_basis: tuple[Vec, ...] | None = None
+    __slots__ = ("gram", "label", "positive_basis")
+    _defaults = {"label": None, "positive_basis": None}
 
     def __post_init__(self):
         g = freeze_mat(self.gram)
@@ -105,12 +103,10 @@ class IntLattice:
         return f"IntLattice({self.label or self.gram}, rank={self.rank})"
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(Frozen):
     """An integer matrix M acting on coordinate columns with M^T G M = G."""
 
-    lattice: IntLattice
-    matrix: Mat
+    __slots__ = ("lattice", "matrix")
 
     def __post_init__(self):
         m = freeze_mat(self.matrix)

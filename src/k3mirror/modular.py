@@ -10,11 +10,11 @@ fixing the sign of the first nonzero entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from ._frozen import Frozen
 from .discriminant import (
     construct_mirror_embedding,
     cyclic_disc_isometry_count,
@@ -26,13 +26,17 @@ from .lattices import IntLattice, Isometry, make_standard, orientation_sign_posi
 from .linalg import Mat, congruent, det, freeze_mat, is_integral, mat_mul
 
 
+# the largest degree fm_partner_count accepts; trial division takes up to
+# sqrt(degree/2) steps, so a larger request is refused before it starts
+MAX_DEGREE = 2 * 10**12
+
+
 @lru_cache(maxsize=None)
 def u_plus_mn(n: int) -> IntLattice:
     return make_standard("U_plus_Mn", n)
 
 
-@dataclass(frozen=True)
-class FracLinear:
+class FracLinear(Frozen):
     """An element m / sqrt(scale) of GL(2,R)+, stored projectively.
 
     Normal form: det(m) = scale, the largest extractable square factor of the
@@ -44,8 +48,8 @@ class FracLinear:
     part that cannot be divided out of the matrix.
     """
 
-    m: Mat
-    scale: int = 1
+    __slots__ = ("m", "scale")
+    _defaults = {"scale": 1}
 
     def __post_init__(self):
         m = freeze_mat(self.m)
@@ -107,12 +111,10 @@ def table1_stabilizers() -> dict[str, FracLinear]:
     }
 
 
-@dataclass(frozen=True)
-class SOMatrix:
+class SOMatrix(Frozen):
     """A 3x3 rational matrix preserving the Gram form of U + <2n>."""
 
-    lattice: IntLattice
-    matrix: Mat
+    __slots__ = ("lattice", "matrix")
 
     def __post_init__(self):
         m = freeze_mat(tuple(tuple(Fraction(x) for x in row) for row in self.matrix))
@@ -204,6 +206,8 @@ def fm_partner_count(degree: int) -> int:
     given even degree 2n: 2^(p(n) - 1)."""
     if degree <= 0 or degree % 2 != 0:
         raise ValueError("degree must be a positive even integer")
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} exceeds the maximum {MAX_DEGREE}")
     return 2 ** (_distinct_prime_count(degree // 2) - 1)
 
 
@@ -226,18 +230,12 @@ def monodromy_index(n: int) -> int:
 
 # -- the six-part verification of the degree-12 worked example ---------------
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    check_id: str
-    description: str
-    passed: bool
-    details: dict
+class CheckOutcome(Frozen):
+    __slots__ = ("check_id", "description", "passed", "details")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    n: int
-    checks: tuple[CheckOutcome, ...]
+class VerificationReport(Frozen):
+    __slots__ = ("n", "checks")   # int, tuple of CheckOutcome
 
     @property
     def passed(self) -> bool:

@@ -11,21 +11,20 @@ rank one, and the mirror-map period formula.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._frozen import Frozen
 from .lattices import IntLattice, bilinear, hyperbolic_extension, make_standard, signature
 from .linalg import Vec, freeze_vec
 
 
-@dataclass(frozen=True)
-class NSContext:
+class NSContext(Frozen):
     """A Neron-Severi lattice of signature (1, rho-1), optionally with the
     ample generator h (required for normalization, where rho must be 1)."""
 
-    ns: IntLattice
-    ample: Vec | None = None
+    __slots__ = ("ns", "ample")
+    _defaults = {"ample": None}
 
     def __post_init__(self):
         if signature(self.ns)[0] != 1:
@@ -51,14 +50,10 @@ def rank_one_context(n: int) -> NSContext:
     return NSContext(make_standard("two_n", n), ample=(1,))
 
 
-@dataclass(frozen=True)
-class MukaiVector:
+class MukaiVector(Frozen):
     """(r, d, s) with d in the fixed NS lattice."""
 
-    ctx: NSContext
-    r: int
-    d: Vec
-    s: int
+    __slots__ = ("ctx", "r", "d", "s")
 
     def __post_init__(self):
         object.__setattr__(self, "d", freeze_vec(self.d))
@@ -102,47 +97,47 @@ def line_bundle_vector(ctx: NSContext, b: Vec) -> MukaiVector:
 
 # -- actions -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Shift:
+class Shift(Frozen):
     """Odd shift: negation of the Mukai vector."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Switch:
+
+class Switch(Frozen):
     """(a, b, c) -> (c, -b, a), the ideal-sheaf-of-the-diagonal transform."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Iota2:
+
+class Iota2(Frozen):
     """(a, b, c) -> (a, -b, c)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Tensor:
+
+class Tensor(Frozen):
     """Multiplication by the line-bundle vector (1, b, (b,b)/2)."""
 
-    b: Vec
+    __slots__ = ("b",)
 
     def __post_init__(self):
         object.__setattr__(self, "b", freeze_vec(self.b))
 
 
-@dataclass(frozen=True)
-class Twist:
+class Twist(Frozen):
     """Spherical twist: x -> x + <w, x> w, with <w,w> = -2."""
 
-    w: MukaiVector
+    __slots__ = ("w",)
 
     def __post_init__(self):
         if mukai_pairing(self.w, self.w) != -2:
             raise ValueError("spherical twist requires a vector of square -2")
 
 
-@dataclass(frozen=True)
-class ReflectCurve:
+class ReflectCurve(Frozen):
     """Reflection x -> x + <x,(0,c,0)> (0,c,0) in a class with (c,c) = -2."""
 
-    c: Vec
+    __slots__ = ("c",)
 
     def __post_init__(self):
         object.__setattr__(self, "c", freeze_vec(self.c))

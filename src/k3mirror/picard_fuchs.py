@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm
 from operator import add
-from typing import NamedTuple
 
+from ._frozen import Frozen
 from .series import LogSeries, RationalSeries, _push, poly
 
 SINGULAR_POINTS = (Fraction(0), Fraction(1, 36), Fraction(1, 4))
@@ -44,11 +43,11 @@ class ToleranceNotMet(RuntimeError):
     """Numeric result failed its accuracy contract."""
 
 
-@dataclass(frozen=True)
-class ThetaOperator:
-    """sum_j x^j Q_j(theta) with integer polynomial coefficients."""
+class ThetaOperator(Frozen):
+    """sum_j x^j Q_j(theta) with integer polynomial coefficients: ``terms``
+    holds the pairs (j, coefficients of Q_j)."""
 
-    terms: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = ("terms",)
 
 
 def pf_operator() -> ThetaOperator:
@@ -177,13 +176,11 @@ def frobenius_basis(order: int):
 
 # -- mirror map ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MirrorMap:
+class MirrorMap(Frozen):
     """The unipotent-normalized flat coordinate and its inverse:
     2 pi i t = log x + log_shift(x), and x expanded in q = exp(2 pi i t)."""
 
-    log_shift: RationalSeries
-    x_of_q: RationalSeries
+    __slots__ = ("log_shift", "x_of_q")
 
 
 def _log_shift(order: int) -> RationalSeries:
@@ -204,11 +201,10 @@ def mirror_map(order: int) -> MirrorMap:
 
 # -- Schwarzian and standard form ---------------------------------------------
 
-@dataclass(frozen=True)
-class SeriesCheck:
-    ok: bool
-    order: int
-    first_mismatch: tuple[int, str, str] | None = None
+class SeriesCheck(Frozen):
+    __slots__ = ("ok", "order",
+                 "first_mismatch")   # None, or (power, got str, expected str)
+    _defaults = {"first_mismatch": None}
 
 
 _SCHWARZIAN_NUMERATOR = (1, -52, 1500, -6048, 15552)
@@ -334,17 +330,11 @@ _MAX_FLOAT_ORDER = 197
 _IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class MonodromyResult:
+class MonodromyResult(Frozen):
     """Monodromy in the Frobenius basis (y0, y1, y2): the continued solution
     satisfies new_y_i = sum_j matrix[i][j] y_j."""
 
-    loop: str
-    matrix: tuple[tuple[complex, ...], ...]
-    residual: float
-    det: complex
-    trace: complex
-    order2_residual: float | None
+    __slots__ = ("loop", "matrix", "residual", "det", "trace", "order2_residual")
 
 
 def _frobenius_initial_matrix(order: int, x0: float):
@@ -449,9 +439,9 @@ def _taylor_step(states, c: complex, h: complex):
     return out, len(b) - 2
 
 
-class LegSolution(NamedTuple):
-    states: list          # the states (y, y', y'') at the end of the leg
-    nfev: int             # Taylor terms summed, per solution
+class LegSolution(Frozen):
+    __slots__ = ("states",   # the states (y, y', y'') at the end of the leg
+                 "nfev")     # Taylor terms summed, per solution
 
 
 def solve_ivp(leg, states) -> LegSolution:

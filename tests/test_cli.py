@@ -105,6 +105,32 @@ def test_missing_subcommand_exits_2():
     assert result is None and code == 2
 
 
+def test_help_lists_every_subcommand(capsys):
+    result, code = invoke("--help")
+    assert result is None and code == 0
+    listed = capsys.readouterr().out
+    for name in ("lattice", "disc", "mukai", "fm-partners", "monodromy-index",
+                 "verify-table1", "verify-glue", "pf"):
+        assert f"\n    {name} " in listed
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (("fm-partners", "--help"), "fm-partners [-h]"),
+    (("--timing", "pf", "series", "-h"), "pf series [-h]"),
+])
+def test_subcommand_help_exits_0(capsys, argv, usage):
+    result, code = invoke(*argv)
+    assert result is None and code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: k3mirror ") and usage in out
+
+
+def test_usage_error_after_a_subcommand_lists_every_subcommand(capsys):
+    result, code = invoke("fm-partners", "12", "extra")
+    assert result is None and code == 2
+    assert "{lattice,disc,mukai,fm-partners," in capsys.readouterr().err
+
+
 def test_cli_output_is_deterministic():
     cmd = [sys.executable, "-m", "k3mirror.cli", "verify-glue", "--n", "2"]
     first = subprocess.run(cmd, capture_output=True, check=True).stdout
@@ -174,8 +200,10 @@ def test_non_finite_flag_fails_with_strict_json(monkeypatch, capsys, tol):
 
 # A fresh interpreter imports k3mirror, optionally runs one CLI call, and
 # reports its exit code, which heavy third-party packages got loaded, which
-# k3mirror submodules got loaded, and which of them were loaded when run()
-# first read the clock.
+# of the standard library's slow imports got loaded, which k3mirror
+# submodules got loaded, and which of them were loaded when run() first read
+# the clock.
+_SLOW_STDLIB = ("dataclasses", "inspect", "typing")
 _PROBE = """
 import json, sys, time
 import k3mirror
@@ -196,8 +224,9 @@ if sys.argv[1:]:
     code = run(sys.argv[1:])[1]
 print(json.dumps({"code": code,
                   "loaded": [m for m in ("numpy", "scipy", "sympy") if m in sys.modules],
+                  "stdlib": [m for m in %r if m in sys.modules],
                   "modules": submodules(), "at_clock": at_clock}))
-"""
+""" % (_SLOW_STDLIB,)
 
 
 def _probe(*argv):
@@ -205,6 +234,15 @@ def _probe(*argv):
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True,
                           check=True, env=dict(os.environ, PYTHONPATH=path))
     return json.loads(proc.stdout)
+
+
+def _bare_stdlib():
+    """Which of _SLOW_STDLIB a bare interpreter already holds: a site .pth
+    file may import typing before any code runs."""
+    proc = subprocess.run([sys.executable, "-c", "import sys; print(sorted("
+                           f"m for m in {_SLOW_STDLIB!r} if m in sys.modules))"],
+                          capture_output=True, check=True, text=True)
+    return proc.stdout.strip()
 
 
 @pytest.mark.parametrize("argv", [
@@ -225,8 +263,8 @@ def test_monodromy_leaves_numeric_stack_unloaded():
     assert (probe["code"], probe["loaded"]) == (0, [])
 
 
-PF = ["cli", "picard_fuchs", "series"]
-MODULAR = ["cli", "discriminant", "lattices", "linalg", "modular"]
+PF = ["_frozen", "cli", "picard_fuchs", "series"]
+MODULAR = ["_frozen", "cli", "discriminant", "lattices", "linalg", "modular"]
 LOADS = [
     (("pf", "series", "--order=8"), 0, PF),
     (("pf", "schwarzian", "--order=8"), 0, PF),
@@ -234,10 +272,10 @@ LOADS = [
     (("pf", "mirror-map", "--order=8"), 0, PF),
     (("pf", "monodromy", "--point=0"), 0, PF),
     (("pf", "monodromy", "--point=1/36", "--basepoint=1/45"), 1, PF),
-    (("lattice", "U_plus_Mn", "--n=6"), 0, ["cli", "lattices", "linalg"]),
-    (("disc", "two_n", "--n=6"), 0, ["cli", "discriminant", "lattices", "linalg"]),
+    (("lattice", "U_plus_Mn", "--n=6"), 0, ["_frozen", "cli", "lattices", "linalg"]),
+    (("disc", "two_n", "--n=6"), 0, ["_frozen", "cli", "discriminant", "lattices", "linalg"]),
     (("mukai", "pair", "--degree=12", "--v=1,0,0", "--w=0,0,1"), 0,
-     ["cli", "lattices", "linalg", "mukai"]),
+     ["_frozen", "cli", "lattices", "linalg", "mukai"]),
     (("fm-partners", "12"), 0, MODULAR),
     # a failing non-pf call must not load picard_fuchs for its except clause
     (("fm-partners", "11"), 1, MODULAR),
@@ -253,6 +291,9 @@ def test_subcommand_loads_only_its_modules_before_the_clock(argv, code, modules)
     assert probe["code"] == code
     assert probe["modules"] == modules
     assert probe["at_clock"] == modules   # elapsed_ms times no import
+    # no value type or parser pulls in dataclasses, inspect or typing
+    assert not {"dataclasses", "inspect"} & set(probe["stdlib"])
+    assert str(probe["stdlib"]) == _bare_stdlib()
 
 
 def test_plain_import_loads_no_submodule():
@@ -305,6 +346,15 @@ def test_pf_monodromy_basepoint_near_the_boundary_fails_distinctly():
     result, code = invoke("pf", "monodromy", "--point", "1/36", "--basepoint", "1/45")
     assert code == 1 and result.status == "fail"
     assert "convergence boundary" in result.payload["got"]
+
+
+@pytest.mark.parametrize("argv", [("monodromy-index", "1000000000"),
+                                  ("fm-partners", "200000000000062")])
+def test_oversized_count_fails_fast(argv):
+    result, code = invoke(*argv)
+    assert code == 1 and result.status == "fail"
+    assert "exceeds the maximum" in result.payload["got"]
+    assert result.elapsed_ms < 1000
 
 
 @pytest.mark.parametrize("op", ["series", "schwarzian", "standard-form", "mirror-map"])
