@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from ._frozen import Frozen
 from .discriminant import (
@@ -23,7 +23,7 @@ from .discriminant import (
     induced_disc_action,
 )
 from .lattices import IntLattice, Isometry, make_standard, orientation_sign_positive
-from .linalg import Mat, congruent, det, freeze_mat, is_integral, mat_mul
+from .linalg import Mat, congruent, freeze_mat, is_integral, mat_mul
 
 
 # the largest degree fm_partner_count accepts; trial division takes up to
@@ -57,7 +57,8 @@ class FracLinear(Frozen):
             raise ValueError("need a 2x2 matrix")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        if det(m) != self.scale:
+        (a, b), (c, d) = m
+        if a * d - b * c != self.scale:
             raise ValueError("determinant must equal the scale")
         # pull the largest usable square factor of the scale into the matrix:
         # a common divisor g of the entries has g^2 | det(m) = scale
@@ -111,24 +112,50 @@ def table1_stabilizers() -> dict[str, FracLinear]:
     }
 
 
+def _numerators(m: Mat) -> tuple[Mat, int]:
+    """(N, d) with d the least common denominator of the Fraction entries of
+    m and N = d m the integer numerator matrix."""
+    d = lcm(*[x.denominator for row in m for x in row])
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m), d
+
+
+def _det3(m: Mat) -> int:
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 class SOMatrix(Frozen):
-    """A 3x3 rational matrix preserving the Gram form of U + <2n>."""
+    """A 3x3 rational matrix preserving the Gram form of U + <2n>.
+
+    Validated in integers: with N = d m the numerator matrix over the least
+    common denominator d, m^T G m = G and det m = +-1 read N^T G N = d^2 G
+    and det N = +-d^3.
+    """
 
     __slots__ = ("lattice", "matrix")
 
     def __post_init__(self):
-        m = freeze_mat(tuple(tuple(Fraction(x) for x in row) for row in self.matrix))
+        m = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                  for row in self.matrix)
         object.__setattr__(self, "matrix", m)
-        if congruent(self.lattice.gram, m) != self.lattice.gram:
+        gram = self.lattice.gram
+        if len(gram) != 3 or len(m) != 3 or any(len(row) != 3 for row in m):
+            raise ValueError("need a 3x3 matrix on a rank-3 lattice")
+        num, d = _numerators(m)
+        d2 = d * d
+        if congruent(gram, num) != tuple(tuple(d2 * x for x in row) for row in gram):
             raise ValueError("matrix does not preserve the form")
-        if det(m) not in (1, -1):
+        if abs(_det3(num)) != d2 * d:
             raise ValueError("determinant must be +-1")
 
     @property
     def determinant(self) -> int:
-        return int(det(self.matrix))
+        num, d = _numerators(self.matrix)
+        return _det3(num) // d ** 3
 
     def __matmul__(self, other: "SOMatrix") -> "SOMatrix":
+        if other.lattice != self.lattice:
+            raise ValueError("matrices live on different lattices")
         return SOMatrix(self.lattice, mat_mul(self.matrix, other.matrix))
 
     def __neg__(self) -> "SOMatrix":
@@ -150,17 +177,16 @@ def R_map(g: FracLinear, n: int) -> SOMatrix:
         (a b; c d) -> (a^2, 2ac, c^2/n; ab, ad+bc, cd/n; n b^2, 2n b d, d^2)
 
     Exact because every entry is bilinear in matrix entries divided by the
-    scale.  R is an anti-homomorphism: R(g h) = R(h) R(g).  Its image has
+    scale; the nine entries are read off one integer matrix over n * scale.
+    R is an anti-homomorphism: R(g h) = R(h) R(g).  Its image has
     determinant +1.
     """
     (a, b), (c, d) = g.m
-    r = g.scale
-    rows = (
-        (Fraction(a * a, r), Fraction(2 * a * c, r), Fraction(c * c, n * r)),
-        (Fraction(a * b, r), Fraction(a * d + b * c, r), Fraction(c * d, n * r)),
-        (Fraction(n * b * b, r), Fraction(2 * n * b * d, r), Fraction(d * d, r)),
-    )
-    return SOMatrix(u_plus_mn(n), rows)
+    q = n * g.scale
+    num = ((n * a * a, 2 * n * a * c, c * c),
+           (n * a * b, n * (a * d + b * c), c * d),
+           (n * n * b * b, 2 * n * n * b * d, n * d * d))
+    return SOMatrix(u_plus_mn(n), tuple(tuple(Fraction(x, q) for x in row) for row in num))
 
 
 def F_map(g: Isometry) -> SOMatrix:

@@ -7,7 +7,7 @@ from sympy import primefactors
 
 from k3mirror.discriminant import in_kernel_star
 from k3mirror.lattices import Isometry, is_isometry
-from k3mirror.linalg import identity, mat_mul
+from k3mirror.linalg import congruent, det, identity, mat_mul
 from k3mirror.modular import (
     S1BAR,
     S2BAR,
@@ -223,8 +223,100 @@ def test_kernel_membership_conjugation_invariant(rng):
 
 
 def test_so_matrix_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not preserve the form"):
         SOMatrix(U6, ((1, 0, 0), (0, 2, 0), (0, 0, 1)))
+    # a common denominator d = 2 on both sides of the verdict
+    img = R_map(FracLinear(((1, 0), (1, 1))), 2)
+    assert img.matrix == ((1, 2, Fraction(1, 2)), (0, 1, Fraction(1, 2)), (0, 0, 1))
+    assert img.determinant == 1
+    assert SOMatrix(u_plus_mn(2), img.matrix) == img
+    for i, j in ((0, 0), (0, 2), (1, 2)):
+        rows = [list(row) for row in img.matrix]
+        rows[i][j] += Fraction(1, 2)
+        with pytest.raises(ValueError, match="does not preserve the form"):
+            SOMatrix(u_plus_mn(2), rows)
+    with pytest.raises(ValueError, match="need a 3x3 matrix"):
+        SOMatrix(U6, ((1, 0), (0, 1)))
+
+
+def test_so_matrix_product_needs_one_lattice():
+    one = FracLinear.identity()
+    with pytest.raises(ValueError, match="different lattices"):
+        R_map(one, 1) @ R_map(one, 2)
+    assert (R_map(one, 2) @ R_map(one, 2)).lattice == u_plus_mn(2)
+
+
+# -- the former Fraction-route validators, kept as a reference ---------------
+
+def _former_so_verdict(lattice, matrix):
+    """The check SOMatrix made over Fraction before it went to integers:
+    the error message, or None on acceptance."""
+    m = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+    if congruent(lattice.gram, m) != lattice.gram:
+        return "matrix does not preserve the form"
+    if det(m) not in (1, -1):
+        return "determinant must be +-1"
+    return None
+
+
+def _verdict(make):
+    try:
+        make()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+_SO_LETTERS = ((1, 1, 0, 1), (1, -1, 0, 1), (1, 0, 1, 1), None)   # None: fricke(n)
+
+
+@st.composite
+def _r_image_variants(draw):
+    """The R-image of a random word in T, (1,-1;0,1), (1,0;1,1), fricke(n),
+    as it is or with one entry moved by +-1/k, two rows swapped, or the whole
+    matrix scaled by a rational other than +-1."""
+    n = draw(st.integers(1, 60))
+    g = FracLinear.identity()
+    for letter in draw(st.lists(st.sampled_from(_SO_LETTERS), max_size=6)):
+        g = g @ (fricke(n) if letter is None
+                 else FracLinear(((letter[0], letter[1]), (letter[2], letter[3]))))
+    rows = [list(row) for row in R_map(g, n).matrix]
+    change = draw(st.sampled_from(("none", "entry", "swap", "scale")))
+    if change == "entry":
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        rows[i][j] += Fraction(draw(st.sampled_from((1, -1))), draw(st.integers(1, 12)))
+    elif change == "swap":
+        i, j = draw(st.sampled_from(((0, 1), (0, 2), (1, 2))))
+        rows[i], rows[j] = rows[j], rows[i]
+    elif change == "scale":
+        q = draw(st.fractions(-4, 4, max_denominator=6).filter(lambda q: q not in (1, -1)))
+        rows = [[q * x for x in row] for row in rows]
+    return n, rows
+
+
+@settings(max_examples=600, deadline=None)
+@given(_r_image_variants())
+def test_so_matrix_matches_former_fraction_route(case):
+    n, rows = case
+    lat = u_plus_mn(n)
+    expected = _former_so_verdict(lat, rows)
+    assert _verdict(lambda: SOMatrix(lat, rows)) == expected
+    if expected is None:
+        assert SOMatrix(lat, rows).determinant == det(rows)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=4, max_size=4), st.sampled_from((-1, 0, 1)))
+def test_fraclinear_determinant_matches_linalg_det(entries, off):
+    m = (tuple(entries[:2]), tuple(entries[2:]))
+    scale = det(m) + off
+    if scale <= 0:
+        expected = "scale must be positive"
+    elif det(m) != scale:
+        expected = "determinant must equal the scale"
+    else:
+        expected = None
+    assert _verdict(lambda: FracLinear(m, scale)) == expected
 
 
 def test_verify_degree12_report():
