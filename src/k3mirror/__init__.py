@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "discriminant": (
         "DiscriminantGroup", "GlueData", "construct_mirror_embedding",
-        "cyclic_disc_isometry_count", "discriminant_group", "glue_extends",
-        "in_kernel_star", "induced_disc_action"),
+        "cyclic_disc_isometry_count", "discriminant_group", "glue_compatible",
+        "glue_extends", "in_kernel_star", "induced_disc_action"),
     "lattices": (
         "IntLattice", "Isometry", "bilinear", "direct_sum", "hyperbolic_extension",
         "is_isometry", "make_standard", "orientation_sign_positive", "signature"),

@@ -123,8 +123,7 @@ def _cmd_verify_glue(args) -> tuple[str, object]:
                 "v-reflection": lattices.Isometry(modular.u_plus_mn(n),
                                                   ((1, 0, 0), (0, -1, 0), (0, 0, 1)))}
         expected = {"T": True, "S1": True, "v-reflection": n == 1}
-    results = {key: discriminant.glue_extends(gd, g, id_right) is not None
-               for key, g in gens.items()}
+    results = {key: discriminant.glue_compatible(gd, g, id_right) for key, g in gens.items()}
     payload = {
         "n": n,
         "index": gd.index,

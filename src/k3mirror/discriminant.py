@@ -123,12 +123,14 @@ class GlueData(Frozen):
                  "glue_vector", "index")
 
 
+@lru_cache(maxsize=128)
 def construct_mirror_embedding(n: int) -> GlueData:
     """Glue (U + <2n>) orthogonally to (U + <-2n> + U + E8(-1)^2) into an even
     unimodular lattice of signature (4,20).
 
     The overlattice is generated over N + K by the isotropic glue vector
-    (v + w)/2n, where v spans <2n> in N and w spans <-2n> in K.
+    (v + w)/2n, where v spans <2n> in N and w spans <-2n> in K.  Built once
+    per n (the result is immutable) and kept for the 128 latest n.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -139,7 +141,7 @@ def construct_mirror_embedding(n: int) -> GlueData:
     sub = direct_sum(left, right, label=f"glue-sub:{n}")
     rank = sub.rank
     v_index, w_index = 1, left.rank + 2
-    glue = tuple(Fraction(1, 2 * n) if i in (v_index, w_index) else Fraction(0)
+    glue = tuple(Fraction(1, 2 * n) if i in (v_index, w_index) else 0
                  for i in range(rank))
     over_basis = tuple(tuple(glue[i] if j == w_index else int(i == j) for j in range(rank))
                        for i in range(rank))
@@ -165,18 +167,41 @@ def disc_group_to_obj(group: DiscriminantGroup) -> dict:
     }
 
 
-def glue_extends(gd: GlueData, g_left: Isometry, g_right: Isometry) -> Isometry | None:
-    """Extend the pair (g_left, g_right) across the glue, or refuse.
+def glue_compatible(gd: GlueData, g_left: Isometry, g_right: Isometry) -> bool:
+    """Whether the pair (g_left, g_right) extends across the glue, in O(rank).
 
-    Returns the induced isometry of the overlattice when every overlattice
-    basis vector maps back into the overlattice (integral coordinates), and
-    None otherwise.  Refusal is the normal outcome for pairs whose
-    discriminant actions do not match under the glue.
+    The overlattice is sub + Z g with g = (e_v + e_w)/N, N the index, e_v
+    spanning <2n> in the left summand and e_w spanning <-2n> in the right one
+    (the two nonzero coordinates of the glue vector).  The block isometry
+    preserves sub, so it preserves the overlattice iff it maps g to k g
+    modulo sub for some k: iff column v of g_left is k e_v and column w of
+    g_right is k e_w modulo N, with one k.
     """
     if g_left.lattice != gd.left or g_right.lattice != gd.right:
         raise ValueError("isometries do not match the glued summands")
+    index, split = gd.index, gd.left.rank
+    v, w = (i for i, x in enumerate(gd.glue_vector) if x)
+    w -= split
+    col_v = [row[v] % index for row in g_left.matrix]
+    col_w = [row[w] % index for row in g_right.matrix]
+    k = col_v[v]
+    return (col_v == [k if i == v else 0 for i in range(split)]
+            and col_w == [k if i == w else 0 for i in range(len(col_w))])
+
+
+def glue_extends(gd: GlueData, g_left: Isometry, g_right: Isometry) -> Isometry | None:
+    """Extend the pair (g_left, g_right) across the glue, or refuse.
+
+    Refuses (returns None) by :func:`glue_compatible`, the normal outcome
+    for pairs whose discriminant actions do not match under the glue.  An
+    accepted pair is conjugated into overlattice coordinates, and the
+    induced isometry of the overlattice is returned; a conjugate that is
+    not integral contradicts the test and raises ArithmeticError.
+    """
+    if not glue_compatible(gd, g_left, g_right):
+        return None
     blocks = block_diag(g_left.matrix, g_right.matrix)
     conj = mat_mul(gd.over_basis_inv, mat_mul(blocks, gd.over_basis))
     if not is_integral(conj):
-        return None
+        raise ArithmeticError("the glue test accepted a pair whose conjugate is not integral")
     return Isometry(gd.overlattice, tuple(tuple(int(x) for x in row) for row in conj))

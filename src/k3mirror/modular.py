@@ -18,12 +18,12 @@ from ._frozen import Frozen
 from .discriminant import (
     construct_mirror_embedding,
     cyclic_disc_isometry_count,
-    glue_extends,
+    glue_compatible,
     in_kernel_star,
     induced_disc_action,
 )
 from .lattices import IntLattice, Isometry, make_standard, orientation_sign_positive
-from .linalg import Mat, congruent, freeze_mat, is_integral, mat_mul
+from .linalg import Mat, congruent, freeze_mat, mat_mul
 
 
 # the largest degree fm_partner_count accepts; trial division takes up to
@@ -113,8 +113,8 @@ def table1_stabilizers() -> dict[str, FracLinear]:
 
 
 def _numerators(m: Mat) -> tuple[Mat, int]:
-    """(N, d) with d the least common denominator of the Fraction entries of
-    m and N = d m the integer numerator matrix."""
+    """(N, d) with d the least common denominator of the entries of m (ints
+    or Fractions) and N = d m the integer numerator matrix."""
     d = lcm(*[x.denominator for row in m for x in row])
     return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m), d
 
@@ -125,49 +125,63 @@ def _det3(m: Mat) -> int:
 
 
 class SOMatrix(Frozen):
-    """A 3x3 rational matrix preserving the Gram form of U + <2n>.
+    """A 3x3 rational matrix m preserving the Gram form G of U + <2n>.
 
-    Validated in integers: with N = d m the numerator matrix over the least
-    common denominator d, m^T G m = G and det m = +-1 read N^T G N = d^2 G
-    and det N = +-d^3.
+    Stored as m = num / den with ``num`` an integer matrix and ``den`` the
+    least positive common denominator, so equal matrices have equal fields.
+    The constructor takes ``num`` with int or Fraction entries
+    (``SOMatrix(lattice, m)`` for a matrix m) and normalises it.  It checks m^T G m = G in integers,
+    as num^T G num = den^2 G; on the nondegenerate G that forces det m = +-1.
+    ``matrix`` reads m back as Fractions.
     """
 
-    __slots__ = ("lattice", "matrix")
+    __slots__ = ("lattice", "num", "den")
+    _defaults = {"den": 1}
 
     def __post_init__(self):
-        m = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-                  for row in self.matrix)
-        object.__setattr__(self, "matrix", m)
+        num, den = self.num, self.den
         gram = self.lattice.gram
-        if len(gram) != 3 or len(m) != 3 or any(len(row) != 3 for row in m):
+        if len(gram) != 3 or len(num) != 3 or any(len(row) != 3 for row in num):
             raise ValueError("need a 3x3 matrix on a rank-3 lattice")
-        num, d = _numerators(m)
-        d2 = d * d
+        if den < 1:
+            raise ValueError("denominator must be positive")
+        num, d = _numerators(num)
+        den *= d
+        g = gcd(den, *num[0], *num[1], *num[2])
+        if g > 1:
+            num = tuple(tuple(x // g for x in row) for row in num)
+            den //= g
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        d2 = den * den
         if congruent(gram, num) != tuple(tuple(d2 * x for x in row) for row in gram):
             raise ValueError("matrix does not preserve the form")
-        if abs(_det3(num)) != d2 * d:
-            raise ValueError("determinant must be +-1")
+
+    @property
+    def matrix(self) -> Mat:
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
     @property
     def determinant(self) -> int:
-        num, d = _numerators(self.matrix)
-        return _det3(num) // d ** 3
+        return _det3(self.num) // self.den ** 3
 
     def __matmul__(self, other: "SOMatrix") -> "SOMatrix":
         if other.lattice != self.lattice:
             raise ValueError("matrices live on different lattices")
-        return SOMatrix(self.lattice, mat_mul(self.matrix, other.matrix))
+        return SOMatrix(self.lattice, mat_mul(self.num, other.num), self.den * other.den)
 
     def __neg__(self) -> "SOMatrix":
-        return SOMatrix(self.lattice, tuple(tuple(-x for x in row) for row in self.matrix))
+        return SOMatrix(self.lattice, tuple(tuple(-x for x in row) for row in self.num),
+                        self.den)
 
     def is_integral(self) -> bool:
-        return is_integral(self.matrix)
+        return self.den == 1
 
     def to_isometry(self) -> Isometry:
-        if not self.is_integral():
+        if self.den != 1:
             raise ValueError("matrix is not integral")
-        return Isometry(self.lattice, tuple(tuple(int(x) for x in row) for row in self.matrix))
+        return Isometry(self.lattice, self.num)
 
 
 def R_map(g: FracLinear, n: int) -> SOMatrix:
@@ -177,7 +191,7 @@ def R_map(g: FracLinear, n: int) -> SOMatrix:
         (a b; c d) -> (a^2, 2ac, c^2/n; ab, ad+bc, cd/n; n b^2, 2n b d, d^2)
 
     Exact because every entry is bilinear in matrix entries divided by the
-    scale; the nine entries are read off one integer matrix over n * scale.
+    scale; the image is one integer matrix over n * scale.
     R is an anti-homomorphism: R(g h) = R(h) R(g).  Its image has
     determinant +1.
     """
@@ -186,7 +200,7 @@ def R_map(g: FracLinear, n: int) -> SOMatrix:
     num = ((n * a * a, 2 * n * a * c, c * c),
            (n * a * b, n * (a * d + b * c), c * d),
            (n * n * b * b, 2 * n * n * b * d, n * d * d))
-    return SOMatrix(u_plus_mn(n), tuple(tuple(Fraction(x, q) for x in row) for row in num))
+    return SOMatrix(u_plus_mn(n), num, q)
 
 
 def F_map(g: Isometry) -> SOMatrix:
@@ -261,6 +275,9 @@ class CheckOutcome(Frozen):
 
 
 class VerificationReport(Frozen):
+    """The outcomes of a verification.  Their details hold values (matrices
+    as int tuples); ``to_obj`` renders them for JSON."""
+
     __slots__ = ("n", "checks")   # int, tuple of CheckOutcome
 
     @property
@@ -273,14 +290,20 @@ class VerificationReport(Frozen):
             "passed": self.passed,
             "checks": [
                 {"id": c.check_id, "description": c.description,
-                 "passed": c.passed, "details": c.details}
+                 "passed": c.passed, "details": _render(c.details)}
                 for c in self.checks
             ],
         }
 
 
-def _mat_str(m) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m]
+def _render(value):
+    """A detail value as JSON: a matrix (a tuple of rows) becomes rows of
+    decimal strings, a dict is rendered value by value."""
+    if isinstance(value, dict):
+        return {k: _render(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [[str(x) for x in row] for row in value]
+    return value
 
 
 def verify_degree12(n: int = 6) -> VerificationReport:
@@ -306,8 +329,7 @@ def verify_degree12(n: int = 6) -> VerificationReport:
         "Tbar = R(T), S1bar = -R(S1), S2bar = -R(S2) reproduce the reference "
         "integer matrices with det(S1bar) = det(S2bar) = -1",
         ok,
-        {"got": {k: _mat_str(v) for k, v in got.items()},
-         "expected": {k: _mat_str(v) for k, v in expected.items()}}))
+        {"got": got, "expected": expected}))
 
     # (b) discriminant actions on Z/12
     acts = {k: induced_disc_action(lat, g) for k, g in gens.items()}
@@ -323,21 +345,20 @@ def verify_degree12(n: int = 6) -> VerificationReport:
     # (c) the composite relation through the anti-homomorphism
     ss = stab["S2"] @ stab["S1"]
     ss_sq = ss @ ss
-    lhs = R_map(ss, 6).matrix
-    rhs = mat_mul(R_map(stab["S1"], 6).matrix, R_map(stab["S2"], 6).matrix)
-    square_lhs = mat_mul(mat_mul(s1bar.matrix, s2bar.matrix),
-                         mat_mul(s1bar.matrix, s2bar.matrix))
-    square_rhs = R_map(ss_sq, 6).matrix
+    lhs = R_map(ss, 6)
+    rhs = R_map(stab["S1"], 6) @ R_map(stab["S2"], 6)
+    square_lhs = (s1bar @ s2bar) @ (s1bar @ s2bar)
+    square_rhs = R_map(ss_sq, 6)
     ok = (lhs == rhs
           and ss_sq == FracLinear(((5, 2), (12, 5)))
-          and square_lhs == square_rhs)
+          and square_rhs.den == 1 and square_rhs.num == square_lhs.matrix)
     checks.append(CheckOutcome(
         "composite-square",
         "R(S2 S1) = R(S1) R(S2); (S1bar S2bar)^2 = R((S2 S1)^2) and "
         "(S2 S1)^2 = (5 2; 12 5)",
         ok,
-        {"S2S1": {"m": _mat_str(ss.m), "scale": ss.scale},
-         "S2S1_squared": {"m": _mat_str(ss_sq.m), "scale": ss_sq.scale}}))
+        {"S2S1": {"m": ss.m, "scale": ss.scale},
+         "S2S1_squared": {"m": ss_sq.m, "scale": ss_sq.scale}}))
 
     # (d) each Fricke-only generator lifts (up to sign) into the kernel
     kernel_signs = {}
@@ -367,7 +388,7 @@ def verify_degree12(n: int = 6) -> VerificationReport:
     # (f) the glue-extension dichotomy on the rank-24 overlattice
     gd = construct_mirror_embedding(6)
     id_right = Isometry.identity(gd.right)
-    ext = {k: glue_extends(gd, g, id_right) is not None for k, g in gens.items()}
+    ext = {k: glue_compatible(gd, g, id_right) for k, g in gens.items()}
     ok = ext == {"T": True, "S1": True, "S2": False}
     checks.append(CheckOutcome(
         "glue-dichotomy",

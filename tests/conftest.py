@@ -12,6 +12,7 @@ import pytest
 os.environ["SYMPY_GROUND_TYPES"] = "python"
 
 from k3mirror.lattices import Isometry, root_reflection
+from k3mirror.linalg import identity, mat_mul
 from k3mirror.modular import R_map, fricke, translation, u_plus_mn
 
 
@@ -49,10 +50,11 @@ def mirror_side_isometries(gd):
 
 
 def random_word(rng: random.Random, gens, max_len=5):
-    g = gens[0] @ gens[0].inverse()  # identity on the right lattice
+    """The product of 1..max_len seeded generators, validated once."""
+    m = identity(len(gens[0].matrix))
     for _ in range(rng.randint(1, max_len)):
-        g = g @ rng.choice(gens)
-    return g
+        m = mat_mul(m, rng.choice(gens).matrix)
+    return Isometry(gens[0].lattice, m)
 
 
 @pytest.fixture

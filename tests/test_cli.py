@@ -303,8 +303,8 @@ def test_plain_import_loads_no_submodule():
 # every public name of the package, by home module
 PUBLIC_NAMES = {
     "discriminant": ["DiscriminantGroup", "GlueData", "construct_mirror_embedding",
-                     "cyclic_disc_isometry_count", "discriminant_group", "glue_extends",
-                     "in_kernel_star", "induced_disc_action"],
+                     "cyclic_disc_isometry_count", "discriminant_group", "glue_compatible",
+                     "glue_extends", "in_kernel_star", "induced_disc_action"],
     "lattices": ["IntLattice", "Isometry", "bilinear", "direct_sum", "hyperbolic_extension",
                  "is_isometry", "make_standard", "orientation_sign_positive", "signature"],
     "modular": ["FracLinear", "F_map", "R_map", "SOMatrix", "fm_partner_count", "fricke",

@@ -5,15 +5,18 @@ import pytest
 from sympy import primefactors
 
 from conftest import mirror_side_isometries, n_side_isometries, random_word
+from k3mirror import discriminant
 from k3mirror.discriminant import (
     construct_mirror_embedding,
     cyclic_disc_isometry_count,
     discriminant_group,
+    glue_compatible,
     glue_extends,
     in_kernel_star,
     induced_disc_action,
 )
 from k3mirror.lattices import IntLattice, Isometry, bilinear, make_standard, signature
+from k3mirror.linalg import block_diag, is_integral, mat_mul
 from k3mirror.modular import monodromy_generators, u_plus_mn
 
 GENS = monodromy_generators(6)
@@ -182,6 +185,90 @@ def test_glue_matches_discriminant_correspondence(n):
         assert (extended is not None) == predicted
         if extended is not None:
             assert extended.lattice == gd.overlattice
+
+
+# -- the former glue test, kept as a reference ---------------------------------
+
+def _integral_inverse(gd):
+    """B^-1 as ints: it is integral, because the sub-lattice lies in the
+    overlattice."""
+    assert is_integral(gd.over_basis_inv)
+    return tuple(tuple(int(x) for x in row) for row in gd.over_basis_inv)
+
+
+def _former_glue_conjugate(gd, g_left, g_right, b_inv):
+    """The test glue_extends made for every pair before the O(rank) verdict:
+    the full conjugation B^-1 (L + R) B by the glue basis B, accepted iff
+    integral.  Returns the integer matrix, or None.  With B^-1 read as ints
+    the product is the same, without a Fraction product in every entry."""
+    conj = mat_mul(b_inv, mat_mul(block_diag(g_left.matrix, g_right.matrix), gd.over_basis))
+    if not is_integral(conj):
+        return None
+    return tuple(tuple(int(x) for x in row) for row in conj)
+
+
+GLUE_WORDS = 300
+GLUE_EXTENDED = 10   # pairs of each verdict also run through glue_extends
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 30, 60])
+def test_glue_verdict_matches_former_conjugation(n):
+    """glue_compatible agrees with the full conjugation on GLUE_WORDS distinct
+    seeded word pairs, both sides drawn with non-identity generators.  Since
+    glue_extends refuses exactly when glue_compatible does, it runs on the
+    first GLUE_EXTENDED pairs of each verdict: it refuses the refused ones and
+    extends the accepted ones to the conjugate itself."""
+    rng = random.Random(7000 + n)
+    gd = construct_mirror_embedding(n)
+    _, ngens = n_side_isometries(n)
+    kgens = mirror_side_isometries(gd)
+    b_inv = _integral_inverse(gd)
+    seen, by_verdict = set(), {True: 0, False: 0}
+    while len(seen) < GLUE_WORDS:
+        g_left, g_right = random_word(rng, ngens), random_word(rng, kgens)
+        if (g_left.matrix, g_right.matrix) in seen:
+            continue
+        seen.add((g_left.matrix, g_right.matrix))
+        expected = _former_glue_conjugate(gd, g_left, g_right, b_inv)
+        verdict = glue_compatible(gd, g_left, g_right)
+        assert verdict == (expected is not None)
+        by_verdict[verdict] += 1
+        if by_verdict[verdict] <= GLUE_EXTENDED:
+            extended = glue_extends(gd, g_left, g_right)
+            assert (extended.matrix if verdict else extended) == expected
+    # both verdicts occur, except at n = 1 where every pair extends
+    accepted = by_verdict[True]
+    assert accepted == GLUE_WORDS if n == 1 else 0 < accepted < GLUE_WORDS
+
+
+def test_glue_verdict_reads_the_glue_columns():
+    gd = construct_mirror_embedding(6)
+    id_left, id_right = Isometry.identity(gd.left), Isometry.identity(gd.right)
+    refl_w = Isometry(gd.right, tuple(
+        tuple(-1 if i == j == 2 else int(i == j) for j in range(gd.right.rank))
+        for i in range(gd.right.rank)))
+    assert glue_compatible(gd, id_left, id_right)
+    assert glue_compatible(gd, -id_left, refl_w)          # k = -1 on both sides
+    assert not glue_compatible(gd, id_left, refl_w)       # k = 1 against k = -1
+    assert not glue_compatible(gd, GENS["S2"], id_right)  # k = 5 against k = 1
+    with pytest.raises(ValueError, match="do not match"):
+        glue_compatible(gd, id_right, id_right)
+
+
+def test_glue_extension_contradicting_the_verdict_raises(monkeypatch):
+    gd = construct_mirror_embedding(6)
+    id_right = Isometry.identity(gd.right)
+    monkeypatch.setattr(discriminant, "glue_compatible", lambda *pair: True)
+    with pytest.raises(ArithmeticError, match="not integral"):
+        glue_extends(gd, GENS["S2"], id_right)
+    assert glue_extends(gd, GENS["T"], id_right) is not None
+
+
+def test_mirror_embedding_is_built_once_per_n():
+    assert construct_mirror_embedding(5) is construct_mirror_embedding(5)
+    assert construct_mirror_embedding.cache_info().maxsize == 128
+    gd = construct_mirror_embedding(5)
+    assert [type(x) for x in gd.glue_vector if not x] == [int] * (gd.sub.rank - 2)
 
 
 def test_over_basis_determinant_is_inverse_index():

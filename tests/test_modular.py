@@ -237,6 +237,11 @@ def test_so_matrix_rejects_bad_input():
             SOMatrix(u_plus_mn(2), rows)
     with pytest.raises(ValueError, match="need a 3x3 matrix"):
         SOMatrix(U6, ((1, 0), (0, 1)))
+    for den in (0, -1):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            SOMatrix(U6, identity(3), den)
+    # an explicit denominator is normalised away with the numerators
+    assert SOMatrix(U6, ((2, 0, 0), (0, 2, 0), (0, 0, 2)), 2) == SOMatrix(U6, identity(3))
 
 
 def test_so_matrix_product_needs_one_lattice():
@@ -302,7 +307,11 @@ def test_so_matrix_matches_former_fraction_route(case):
     expected = _former_so_verdict(lat, rows)
     assert _verdict(lambda: SOMatrix(lat, rows)) == expected
     if expected is None:
-        assert SOMatrix(lat, rows).determinant == det(rows)
+        # SOMatrix checks the form only, which forces det = +-1 on the
+        # nondegenerate Gram matrix: every accepted matrix must bear it out
+        m = SOMatrix(lat, rows)
+        assert m.determinant == det(rows) and m.determinant in (1, -1)
+        assert m.matrix == tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 @settings(max_examples=600, deadline=None)
@@ -327,9 +336,23 @@ def test_verify_degree12_report():
                    "kernel-generators", "orientation", "glue-dichotomy"]
     by_id = {c.check_id: c for c in report.checks}
     assert by_id["discriminant-action"].details["scalars"] == {"T": 1, "S1": 1, "S2": 5}
-    assert by_id["composite-square"].details["S2S1_squared"]["m"] == [["5", "2"], ["12", "5"]]
+    # the details hold values, the expected matrices shared with the module
+    assert by_id["composite-square"].details["S2S1_squared"] == {"m": ((5, 2), (12, 5)),
+                                                                 "scale": 1}
+    expected = by_id["table-matrices"].details["expected"]
+    assert expected["T"] is TBAR and expected["S1"] is S1BAR and expected["S2"] is S2BAR
+    assert by_id["table-matrices"].details["got"] == expected
+    # and to_obj renders every matrix as rows of decimal strings
     obj = report.to_obj()
     assert obj["passed"] and len(obj["checks"]) == 6
+    details = {c["id"]: c["details"] for c in obj["checks"]}
+    assert details["composite-square"]["S2S1_squared"] == {"m": [["5", "2"], ["12", "5"]],
+                                                           "scale": 1}
+    assert details["table-matrices"]["expected"]["S2"] == [["-2", "-12", "-3"],
+                                                           ["1", "5", "1"],
+                                                           ["-3", "-12", "-2"]]
+    assert details["table-matrices"]["got"] == details["table-matrices"]["expected"]
+    assert details["discriminant-action"] == {"scalars": {"T": 1, "S1": 1, "S2": 5}}
 
 
 def test_verify_requires_n6():
