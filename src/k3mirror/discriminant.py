@@ -52,6 +52,8 @@ class DiscriminantGroup(Frozen):
 
     def class_of(self, x: Vec) -> tuple[int, ...]:
         """Coordinates of the class of x in the cyclic factors (x must lie in L*)."""
+        if len(x) != self.lattice.rank:
+            raise ValueError("vector length does not match lattice rank")
         gx = mat_vec(self.lattice.gram, tuple(Fraction(c) for c in x))
         if not is_integral(gx):
             raise ValueError("vector is not in the dual lattice")
@@ -85,6 +87,8 @@ def induced_disc_action(lat: IntLattice, g: Isometry | Mat) -> Mat:
     """
     if not isinstance(g, Isometry):
         g = Isometry(lat, g)  # validates
+    elif g.lattice != lat:
+        raise ValueError("the isometry lives on a different lattice")
     group = discriminant_group(lat)
     cols = [group.class_of(mat_vec(g.matrix, lift)) for lift in group.generator_lifts]
     k = len(group.invariant_factors)

@@ -20,10 +20,10 @@ from ._frozen import Frozen
 from .linalg import (
     Mat,
     Vec,
+    block_diag,
     congruent,
     det,
     freeze_mat,
-    freeze_vec,
     identity,
     inverse,
     is_integral,
@@ -68,12 +68,14 @@ class IntLattice(Frozen):
             raise ValueError("Gram matrix must be square")
         if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
             raise ValueError("Gram matrix must be symmetric")
-        if det(g) == 0:
-            raise ValueError("Gram matrix must be nondegenerate")
+        try:
+            p = signature_of_gram(g)[0]
+        except ValueError:
+            raise ValueError("Gram matrix must be nondegenerate") from None
         if self.positive_basis is not None:
-            pos = tuple(freeze_vec(v) for v in self.positive_basis)
+            pos = tuple(tuple(v) for v in self.positive_basis)
             object.__setattr__(self, "positive_basis", pos)
-            if len(pos) != signature_of_gram(g)[0]:
+            if len(pos) != p:
                 raise ValueError("positive basis does not span a maximal positive subspace")
             if pos:
                 witness = freeze_mat(tuple(tuple(bilinear(self, u, v) for v in pos)
@@ -156,17 +158,14 @@ def bilinear(lat: IntLattice, x: Vec, y: Vec):
 def direct_sum(l1: IntLattice, l2: IntLattice, label: str | None = None) -> IntLattice:
     """Orthogonal direct sum, basis of l1 followed by basis of l2."""
     n1, n2 = l1.rank, l2.rank
-    rows = [tuple(l1.gram[i]) + (0,) * n2 for i in range(n1)]
-    rows += [(0,) * n1 + tuple(l2.gram[i]) for i in range(n2)]
-    pos = None
-    cand = tuple(tuple(v) + (0,) * n2 for v in (l1.positive_basis or ()))
-    cand += tuple((0,) * n1 + tuple(v) for v in (l2.positive_basis or ()))
-    p = signature_of_gram(freeze_mat(rows))[0]
-    if len(cand) == p:
-        pos = cand
+    g = block_diag(l1.gram, l2.gram)
+    pos = tuple(tuple(v) + (0,) * n2 for v in (l1.positive_basis or ()))
+    pos += tuple((0,) * n1 + tuple(v) for v in (l2.positive_basis or ()))
+    if len(pos) != signature_of_gram(g)[0]:
+        pos = None
     if label is None and l1.label and l2.label:
         label = f"{l1.label}+{l2.label}"
-    return IntLattice(freeze_mat(rows), label=label, positive_basis=pos)
+    return IntLattice(g, label=label, positive_basis=pos)
 
 
 def hyperbolic_extension(lat: IntLattice, label: str | None = None) -> IntLattice:
@@ -230,7 +229,9 @@ def make_standard(name: str, n: int | None = None) -> IntLattice:
 @lru_cache(maxsize=None)
 def signature_of_gram(gram: Mat) -> tuple[int, int]:
     """(p, q) counts of positive/negative squares, by exact congruence
-    diagonalization over Q."""
+    diagonalization over Q; raises ValueError exactly when the form is
+    degenerate.  Row operations alone suffice: they leave the trailing block
+    symmetric (its Schur complement), and row k is not read after step k."""
     n = len(gram)
     a = [[Fraction(x) for x in row] for row in gram]
     p = q = 0
@@ -259,10 +260,8 @@ def signature_of_gram(gram: Mat) -> tuple[int, int]:
         for r in range(k + 1, n):
             f = a[r][k] / d
             if f:
-                for j in range(n):
+                for j in range(k, n):
                     a[r][j] -= f * a[k][j]
-                for i in range(n):
-                    a[i][r] -= f * a[i][k]
     return (p, q)
 
 

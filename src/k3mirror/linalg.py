@@ -14,10 +14,6 @@ Vec = tuple
 Mat = tuple
 
 
-def freeze_vec(v) -> Vec:
-    return tuple(v)
-
-
 def freeze_mat(rows) -> Mat:
     return tuple(tuple(r) for r in rows)
 
@@ -52,7 +48,7 @@ def congruent(g: Mat, m: Mat) -> Mat:
 
 
 def det(a: Mat) -> int | Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant by Gaussian elimination over Fraction."""
     n = len(a)
     rows = [[Fraction(x) for x in row] for row in a]
     sign = 1

@@ -16,7 +16,7 @@ from math import gcd
 
 from ._frozen import Frozen
 from .lattices import IntLattice, bilinear, hyperbolic_extension, make_standard, signature
-from .linalg import Vec, freeze_vec
+from .linalg import Vec
 
 
 class NSContext(Frozen):
@@ -30,7 +30,7 @@ class NSContext(Frozen):
         if signature(self.ns)[0] != 1:
             raise ValueError("NS lattice must have signature (1, rho-1)")
         if self.ample is not None:
-            object.__setattr__(self, "ample", freeze_vec(self.ample))
+            object.__setattr__(self, "ample", tuple(self.ample))
             if bilinear(self.ns, self.ample, self.ample) <= 0:
                 raise ValueError("ample class must have positive square")
 
@@ -56,7 +56,7 @@ class MukaiVector(Frozen):
     __slots__ = ("ctx", "r", "d", "s")
 
     def __post_init__(self):
-        object.__setattr__(self, "d", freeze_vec(self.d))
+        object.__setattr__(self, "d", tuple(self.d))
         if len(self.d) != self.ctx.ns.rank:
             raise ValueError("degree-2 part has wrong rank")
 
@@ -121,7 +121,7 @@ class Tensor(Frozen):
     __slots__ = ("b",)
 
     def __post_init__(self):
-        object.__setattr__(self, "b", freeze_vec(self.b))
+        object.__setattr__(self, "b", tuple(self.b))
 
 
 class Twist(Frozen):
@@ -140,7 +140,7 @@ class ReflectCurve(Frozen):
     __slots__ = ("c",)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", freeze_vec(self.c))
+        object.__setattr__(self, "c", tuple(self.c))
 
 
 Action = Shift | Switch | Iota2 | Tensor | Twist | ReflectCurve

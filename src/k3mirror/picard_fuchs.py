@@ -215,13 +215,6 @@ _STANDARD_ALPHA = (Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
 _STANDARD_BETA = (Fraction(13, 24), Fraction(-3, 16), Fraction(1, 48), Fraction(-3, 8))
 
 
-def z_of_x(x: Fraction | None) -> Fraction | None:
-    """The chart change z = 48x/(12x+1); None stands for the point at infinity."""
-    if x is None:
-        return Fraction(4)
-    return Fraction(48) * x / (12 * x + 1)
-
-
 def _theta_t(order: int) -> RationalSeries:
     """(2 pi i) theta t = 1 + theta(g1/Pi) through x^order, theta = x d/dx;
     the constant 2 pi i drops out of every Schwarzian."""

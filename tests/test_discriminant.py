@@ -90,6 +90,13 @@ def test_dual_vector_required():
         group.class_of((Fraction(1, 5), 0, 0))
 
 
+def test_class_of_refuses_a_vector_of_another_rank():
+    group = discriminant_group(U6)
+    for x in ((0, Fraction(1, 12)), (0, Fraction(1, 12), 0, 0), ()):
+        with pytest.raises(ValueError, match="vector length"):
+            group.class_of(x)
+
+
 def test_disc_action_examples():
     assert induced_disc_action(U6, Isometry.identity(U6)) == ((1,),)
     assert induced_disc_action(U6, GENS["S2"]) == ((5,),)
@@ -281,6 +288,15 @@ def test_over_basis_determinant_is_inverse_index():
 def test_disc_action_rejects_non_isometry():
     with pytest.raises(ValueError):
         induced_disc_action(U6, ((1, 0, 0), (0, 2, 0), (0, 0, 1)))
+
+
+def test_disc_maps_refuse_an_isometry_of_another_lattice():
+    other = Isometry.identity(make_standard("U_plus_Mn", 5))
+    for fn in (induced_disc_action, in_kernel_star):
+        with pytest.raises(ValueError, match="different lattice"):
+            fn(make_standard("U_plus_Mn", 6), other)
+    # an equal lattice built afresh is the same lattice
+    assert induced_disc_action(make_standard("U_plus_Mn", 6), GENS["S2"]) == ((5,),)
 
 
 def test_count_validates_input():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from k3mirror import lattices
 from k3mirror.lattices import (
     IntLattice,
     Isometry,
@@ -15,8 +16,9 @@ from k3mirror.lattices import (
     orientation_sign_positive,
     root_reflection,
     signature,
+    signature_of_gram,
 )
-from k3mirror.linalg import det, mat_vec, solve
+from k3mirror.linalg import congruent, det, mat_vec, solve
 from k3mirror.modular import monodromy_generators
 
 U6 = make_standard("U_plus_Mn", 6)
@@ -294,3 +296,91 @@ def _relabelled_copy(name, n=None):
 def test_standard_sums_match_former_relabelled_copies(name, n):
     new, old = make_standard(name, n), _relabelled_copy(name, n)
     assert (new.gram, new.label, new.positive_basis) == (old.gram, old.label, old.positive_basis)
+
+
+def _former_signature(gram):
+    """The former signature: congruence diagonalization over Q updating both
+    the rows and the columns at every step."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    p = q = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if a[r][r] != 0), None)
+            if piv is not None:
+                a[k], a[piv] = a[piv], a[k]
+                for row in a:
+                    row[k], row[piv] = row[piv], row[k]
+            else:
+                off = next((r for r in range(k + 1, n) if a[k][r] != 0), None)
+                if off is None:
+                    raise ValueError("degenerate form")
+                for j in range(n):
+                    a[k][j] += a[off][j]
+                for i in range(n):
+                    a[i][k] += a[i][off]
+        d = a[k][k]
+        if d > 0:
+            p += 1
+        else:
+            q += 1
+        for r in range(k + 1, n):
+            f = a[r][k] / d
+            if f:
+                for j in range(n):
+                    a[r][j] -= f * a[k][j]
+                for i in range(n):
+                    a[i][r] -= f * a[i][k]
+    return (p, q)
+
+
+@st.composite
+def symmetric_grams(draw):
+    """Symmetric integer matrices of rank 1-8, some with a zero diagonal and
+    some made degenerate on purpose: pulled back as E^T G E along a matrix E
+    whose column i is a combination of the other unit columns."""
+    n = draw(st.integers(1, 8))
+    entries = st.integers(-3, 3)
+    upper = {(i, j): draw(entries) for i in range(n) for j in range(i, n)}
+    if draw(st.booleans()):
+        upper.update({(i, i): 0 for i in range(n)})
+    g = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        coeffs = [0 if k == i else draw(entries) for k in range(n)]
+        e = tuple(tuple(coeffs[r] if c == i else int(r == c) for c in range(n))
+                  for r in range(n))
+        g = congruent(g, e)
+    return g
+
+
+@settings(max_examples=1000, deadline=None)
+@given(symmetric_grams())
+def test_lattice_accepts_exactly_the_nondegenerate_grams(g):
+    if det(g) != 0:
+        assert sum(signature(IntLattice(g))) == len(g)
+    else:
+        with pytest.raises(ValueError, match="^Gram matrix must be nondegenerate$"):
+            IntLattice(g)
+
+
+@settings(max_examples=500, deadline=None)
+@given(symmetric_grams())
+def test_signature_matches_former_two_sided_elimination(g):
+    try:
+        expected = _former_signature(g)
+    except ValueError:
+        with pytest.raises(ValueError):
+            signature_of_gram(g)
+    else:
+        assert signature_of_gram(g) == expected
+
+
+@pytest.mark.parametrize("name,n", [("U", None), ("E8minus", None), ("K3", None),
+                                    ("Mukai", None), ("U_plus_Mn", 30), ("Mcheck_n", 30)])
+def test_building_a_lattice_takes_no_determinant(monkeypatch, name, n):
+    def refuse(a):
+        raise AssertionError("det called while building a lattice")
+    monkeypatch.setattr(lattices, "det", refuse)
+    lat = make_standard(name, n)
+    assert signature(lat) == eigen_signature(lat)

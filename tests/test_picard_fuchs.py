@@ -17,6 +17,7 @@ from k3mirror.picard_fuchs import (
     ThetaOperator,
     _compare,
     _IDENTITY,
+    _STANDARD_POINTS,
     _frobenius_initial_matrix,
     _log_shift,
     _loop_legs,
@@ -36,7 +37,6 @@ from k3mirror.picard_fuchs import (
     schwarzian_check,
     solve_ivp,
     standard_form_check,
-    z_of_x,
 )
 from k3mirror import picard_fuchs
 from k3mirror.modular import S1BAR, S2BAR, TBAR
@@ -189,10 +189,9 @@ def test_standard_form_exact():
 
 
 def test_standard_form_chart():
-    assert z_of_x(Fraction(0)) == 0
-    assert z_of_x(Fraction(1, 36)) == 1
-    assert z_of_x(Fraction(1, 4)) == 3
-    assert z_of_x(None) == 4
+    # z = 48x/(12x+1) maps the finite singular points, and x = oo to 48/12
+    chart = [48 * x / (12 * x + 1) for x in SINGULAR_POINTS] + [Fraction(48, 12)]
+    assert chart == list(_STANDARD_POINTS)
 
 
 def test_checks_reject_small_orders():
