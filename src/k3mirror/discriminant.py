@@ -79,23 +79,20 @@ def discriminant_group(lat: IntLattice) -> DiscriminantGroup:
     return group
 
 
-def induced_disc_action(lat: IntLattice, g: Isometry | Mat) -> Mat:
+def induced_disc_action(lat: IntLattice, g: Isometry) -> Mat:
     """Matrix of the action of g on A_L in the invariant-factor coordinates.
 
     Column j holds the class of g applied to the j-th generator lift; entries
     in row i are reduced mod the i-th invariant factor.
     """
-    if not isinstance(g, Isometry):
-        g = Isometry(lat, g)  # validates
-    elif g.lattice != lat:
-        raise ValueError("the isometry lives on a different lattice")
+    Isometry._require(lat, g)
     group = discriminant_group(lat)
     cols = [group.class_of(mat_vec(g.matrix, lift)) for lift in group.generator_lifts]
     k = len(group.invariant_factors)
     return freeze_mat([[cols[j][i] for j in range(k)] for i in range(k)])
 
 
-def in_kernel_star(lat: IntLattice, g: Isometry | Mat) -> bool:
+def in_kernel_star(lat: IntLattice, g: Isometry) -> bool:
     """True iff g acts as the identity on the discriminant group."""
     k = len(discriminant_group(lat).invariant_factors)   # each > 1: entries already reduced
     return induced_disc_action(lat, g) == identity(k)
@@ -208,4 +205,4 @@ def glue_extends(gd: GlueData, g_left: Isometry, g_right: Isometry) -> Isometry 
     conj = mat_mul(gd.over_basis_inv, mat_mul(blocks, gd.over_basis))
     if not is_integral(conj):
         raise ArithmeticError("the glue test accepted a pair whose conjugate is not integral")
-    return Isometry(gd.overlattice, tuple(tuple(int(x) for x in row) for row in conj))
+    return Isometry._known(gd.overlattice, tuple(tuple(int(x) for x in row) for row in conj))

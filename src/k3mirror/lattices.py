@@ -106,19 +106,33 @@ class IntLattice(Frozen):
 
 
 class Isometry(Frozen):
-    """An integer matrix M acting on coordinate columns with M^T G M = G."""
+    """An integer matrix M acting on coordinate columns with M^T G M = G, checked once."""
 
     __slots__ = ("lattice", "matrix")
 
     def __post_init__(self):
         m = freeze_mat(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if len(m) != self.lattice.rank:
+        if len(m) != self.lattice.rank or any(len(row) != len(m) for row in m):
             raise ValueError("matrix size does not match lattice rank")
         if not is_integral(m):
             raise ValueError("isometry matrix must be integral")
-        if congruent(self.lattice.gram, m) != self.lattice.gram:
+        if not is_isometry(self.lattice, m):
             raise ValueError("matrix does not preserve the Gram form")
+
+    @classmethod
+    def _known(cls, lattice: IntLattice, matrix: Mat) -> "Isometry":
+        """An isometry whose integer row tuples preserve the form by construction."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "lattice", lattice)
+        object.__setattr__(g, "matrix", matrix)
+        return g
+
+    @staticmethod
+    def _require(lat: IntLattice, g: "Isometry") -> None:
+        if not isinstance(g, Isometry) or g.lattice != lat:
+            raise ValueError("expected an Isometry of this lattice, not a raw matrix "
+                             "or an isometry of a different lattice")
 
     @property
     def determinant(self) -> int:
@@ -128,20 +142,19 @@ class Isometry(Frozen):
         return mat_vec(self.matrix, v)
 
     def inverse(self) -> "Isometry":
-        inv = inverse(self.matrix)
-        return Isometry(self.lattice, tuple(tuple(int(x) for x in row) for row in inv))
+        inv = inverse(self.matrix)   # integral: det(M)^2 det G = det G makes det M = +-1
+        return Isometry._known(self.lattice, tuple(tuple(int(x) for x in row) for row in inv))
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
-        if other.lattice != self.lattice:
-            raise ValueError("isometries live on different lattices")
-        return Isometry(self.lattice, mat_mul(self.matrix, other.matrix))
+        Isometry._require(self.lattice, other)
+        return Isometry._known(self.lattice, mat_mul(self.matrix, other.matrix))
 
     def __neg__(self) -> "Isometry":
-        return Isometry(self.lattice, tuple(tuple(-x for x in row) for row in self.matrix))
+        return Isometry._known(self.lattice, tuple(tuple(-x for x in row) for row in self.matrix))
 
     @classmethod
     def identity(cls, lattice: IntLattice) -> "Isometry":
-        return cls(lattice, identity(lattice.rank))
+        return cls._known(lattice, identity(lattice.rank))
 
 
 def bilinear(lat: IntLattice, x: Vec, y: Vec):
@@ -277,7 +290,7 @@ def is_isometry(lat: IntLattice, m: Mat) -> bool:
     return congruent(lat.gram, m) == lat.gram
 
 
-def orientation_sign_positive(lat: IntLattice, g: Isometry | Mat) -> int:
+def orientation_sign_positive(lat: IntLattice, g: Isometry) -> int:
     """Sign (+1/-1) of det of the form-orthogonal projection of the image of
     the canonical positive basis back onto it.
 
@@ -287,28 +300,23 @@ def orientation_sign_positive(lat: IntLattice, g: Isometry | Mat) -> int:
     """
     if lat.positive_basis is None or len(lat.positive_basis) == 0:
         raise ValueError(f"no canonical positive basis defined for {lat.label!r}")
-    mat = g.matrix if isinstance(g, Isometry) else freeze_mat(g)
-    if not is_isometry(lat, mat):
-        raise ValueError("not an isometry of the lattice")
+    Isometry._require(lat, g)
     basis = lat.positive_basis
-    # the projection coordinates are gp^-1 rhs, gp the positive-definite Gram
-    # of the basis, so their det has the sign of det(rhs)
-    images = [mat_vec(mat, v) for v in basis]
+    # the projection coordinates are gp^-1 rhs, gp the positive-definite Gram of the
+    # basis, so their det has the sign of det(rhs), not 0 as g keeps positive planes positive
+    images = [g.apply(v) for v in basis]
     rhs = tuple(tuple(bilinear(lat, u, img) for img in images) for u in basis)
-    d = det(rhs)
-    if d == 0:
-        raise ArithmeticError("singular projection; input was not an isometry")
-    return 1 if d > 0 else -1
+    return 1 if det(rhs) > 0 else -1
 
 
 def root_reflection(lat: IntLattice, v: Vec) -> Isometry:
-    """Reflection x -> x + (x, v) v in a vector of square -2."""
-    if bilinear(lat, v, v) != -2:
-        raise ValueError("reflection requires a vector of square -2")
+    """Reflection x -> x + (x, v) v in a lattice vector of square -2."""
+    if bilinear(lat, v, v) != -2 or not is_integral(v):
+        raise ValueError("reflection requires an integer vector of square -2")
     gv = mat_vec(lat.gram, tuple(v))
     n = lat.rank
     m = tuple(tuple((1 if i == j else 0) + v[i] * gv[j] for j in range(n)) for i in range(n))
-    return Isometry(lat, m)
+    return Isometry._known(lat, m)
 
 
 # -- serialization ----------------------------------------------------------

@@ -181,7 +181,7 @@ class SOMatrix(Frozen):
     def to_isometry(self) -> Isometry:
         if self.den != 1:
             raise ValueError("matrix is not integral")
-        return Isometry(self.lattice, self.num)
+        return Isometry._known(self.lattice, self.num)   # num^T G num = den^2 G = G
 
 
 def R_map(g: FracLinear, n: int) -> SOMatrix:

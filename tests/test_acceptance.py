@@ -4,10 +4,12 @@ pass/fail line and the elapsed time printed per criterion.
 Run with `pytest tests/test_acceptance.py -s` to see the report lines.
 """
 
+import doctest
 import random
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 from sympy import primefactors
@@ -223,3 +225,10 @@ def test_criterion_8_property_suites():
             assert v2.r > 1 and gcd(v2.r, v2.s) == 1 and v2.d[0] > 0
             assert km.mukai_pairing(u2, v2) == -1
             done += 1
+
+
+def test_readme_example_runs():
+    """The README's >>> block, as `python -m doctest README.md` runs it."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    failed, attempted = doctest.testfile(str(readme), module_relative=False)
+    assert failed == 0 and attempted >= 8

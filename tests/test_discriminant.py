@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import primefactors
 
 from conftest import mirror_side_isometries, n_side_isometries, random_word
@@ -15,8 +17,15 @@ from k3mirror.discriminant import (
     in_kernel_star,
     induced_disc_action,
 )
-from k3mirror.lattices import IntLattice, Isometry, bilinear, make_standard, signature
-from k3mirror.linalg import block_diag, is_integral, mat_mul
+from k3mirror.lattices import (
+    IntLattice,
+    Isometry,
+    bilinear,
+    make_standard,
+    orientation_sign_positive,
+    signature,
+)
+from k3mirror.linalg import block_diag, identity, is_integral, mat_mul
 from k3mirror.modular import monodromy_generators, u_plus_mn
 
 GENS = monodromy_generators(6)
@@ -248,6 +257,63 @@ def test_glue_verdict_matches_former_conjugation(n):
     assert accepted == GLUE_WORDS if n == 1 else 0 < accepted < GLUE_WORDS
 
 
+# -- derived isometries, against the validating constructor ---------------------
+
+_STEPS = st.lists(st.tuples(st.sampled_from(("mul", "neg", "inv")), st.integers(0, 4)),
+                  max_size=6)
+
+
+def _derived_word(gens, steps):
+    """Follow the drawn steps from the identity through @, unary minus and
+    inverse.  Every isometry on the way must match the matrix computed
+    beside it and pass the validating constructor unchanged."""
+    g = Isometry.identity(gens[0].lattice)
+    m = identity(len(g.matrix))
+    for op, i in steps:
+        if op == "mul":
+            g, m = g @ gens[i % len(gens)], mat_mul(m, gens[i % len(gens)].matrix)
+        elif op == "neg":
+            g, m = -g, tuple(tuple(-x for x in row) for row in m)
+        else:
+            g = g.inverse()
+            assert mat_mul(g.matrix, m) == identity(len(m))
+            m = g.matrix
+        assert g.matrix == m
+        assert Isometry(g.lattice, g.matrix) == g
+    return g
+
+
+@cache
+def _glue_generators(n):
+    """The U + <2n> generators (R-images through to_isometry, -id, the
+    v-reflection) and those of the rank-21 summand (identity, -id, the
+    <-2n> reflection, the E8 swap, a root reflection)."""
+    gd = construct_mirror_embedding(n)
+    return gd, n_side_isometries(n)[1], mirror_side_isometries(gd)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 30, 60))
+def test_glue_generators_pass_the_validating_constructor(n):
+    _, ngens, kgens = _glue_generators(n)
+    for g in ngens + kgens:
+        assert Isometry(g.lattice, g.matrix) == g
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((1, 2, 6, 7, 30)), _STEPS, _STEPS)
+def test_derived_isometries_pass_the_validating_constructor(n, left_steps, right_steps):
+    """Words over the generators, then their glue: an accepted pair's
+    extension passes the validating constructor too, and the verdict
+    follows the discriminant actions."""
+    gd, ngens, kgens = _glue_generators(n)
+    g_left, g_right = _derived_word(ngens, left_steps), _derived_word(kgens, right_steps)
+    extended = glue_extends(gd, g_left, g_right)
+    assert (extended is not None) == (induced_disc_action(gd.left, g_left)
+                                      == induced_disc_action(gd.right, g_right))
+    if extended is not None:
+        assert Isometry(gd.overlattice, extended.matrix) == extended
+
+
 def test_glue_verdict_reads_the_glue_columns():
     gd = construct_mirror_embedding(6)
     id_left, id_right = Isometry.identity(gd.left), Isometry.identity(gd.right)
@@ -286,15 +352,21 @@ def test_over_basis_determinant_is_inverse_index():
 
 
 def test_disc_action_rejects_non_isometry():
-    with pytest.raises(ValueError):
-        induced_disc_action(U6, ((1, 0, 0), (0, 2, 0), (0, 0, 1)))
+    # the maps take only Isometry values: a raw matrix is refused even when
+    # it is an isometry
+    for fn in (induced_disc_action, in_kernel_star, orientation_sign_positive):
+        for raw in (((1, 0, 0), (0, 2, 0), (0, 0, 1)), GENS["S1"].matrix):
+            with pytest.raises(ValueError, match="not a raw matrix"):
+                fn(U6, raw)
 
 
 def test_disc_maps_refuse_an_isometry_of_another_lattice():
     other = Isometry.identity(make_standard("U_plus_Mn", 5))
-    for fn in (induced_disc_action, in_kernel_star):
-        with pytest.raises(ValueError, match="different lattice"):
-            fn(make_standard("U_plus_Mn", 6), other)
+    flip = Isometry(make_standard("U_plus_Mn", 5), ((-1, 0, 0), (0, 1, 0), (0, 0, -1)))
+    for fn in (induced_disc_action, in_kernel_star, orientation_sign_positive):
+        for g in (other, flip):
+            with pytest.raises(ValueError, match="different lattice"):
+                fn(make_standard("U_plus_Mn", 6), g)
     # an equal lattice built afresh is the same lattice
     assert induced_disc_action(make_standard("U_plus_Mn", 6), GENS["S2"]) == ((5,),)
 

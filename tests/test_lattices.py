@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from k3mirror import lattices
+from k3mirror.discriminant import construct_mirror_embedding, glue_extends
 from k3mirror.lattices import (
     IntLattice,
     Isometry,
@@ -19,7 +20,7 @@ from k3mirror.lattices import (
     signature_of_gram,
 )
 from k3mirror.linalg import congruent, det, mat_vec, solve
-from k3mirror.modular import monodromy_generators
+from k3mirror.modular import R_map, monodromy_generators, table1_stabilizers
 
 U6 = make_standard("U_plus_Mn", 6)
 GENS = monodromy_generators(6)
@@ -160,6 +161,12 @@ def test_isometry_constructor_rejects_non_isometry():
         Isometry(U6, ((1, 0, 0), (0, 2, 0), (0, 0, 1)))
 
 
+def test_isometry_constructor_rejects_a_ragged_matrix():
+    for rows in (((1, 0, 0), (0, 1, 0), (0, 0, 1, 7)), ((1, 0, 0), (0, 1), (0, 0, 1))):
+        with pytest.raises(ValueError, match="size does not match"):
+            Isometry(U6, rows)
+
+
 def test_make_standard_errors():
     with pytest.raises(ValueError):
         make_standard("nonsense")
@@ -205,6 +212,11 @@ def test_root_reflection_is_involution():
     r = root_reflection(lat, root)
     assert (r @ r).matrix == Isometry.identity(lat).matrix
     assert r.apply(root) == tuple(-x for x in root)
+    # refused: a vector of square -4, and (1/2) e on <-8>, of square -2 but
+    # not in the lattice (its reflection, -1, would be integral)
+    for other, v in ((lat, (1, 1, 0, 0, 0, 0, 0, 0)), (IntLattice(((-8,),)), (Fraction(1, 2),))):
+        with pytest.raises(ValueError, match="integer vector of square -2"):
+            root_reflection(other, v)
 
 
 def test_hyperbolic_extension_matches_u_plus_mn():
@@ -384,3 +396,24 @@ def test_building_a_lattice_takes_no_determinant(monkeypatch, name, n):
     monkeypatch.setattr(lattices, "det", refuse)
     lat = make_standard(name, n)
     assert signature(lat) == eigen_signature(lat)
+
+
+def test_derived_isometries_are_not_validated_again(monkeypatch):
+    gd = construct_mirror_embedding(6)
+    tbar, stab = GENS["T"], table1_stabilizers()
+    root = tuple(int(i == 5) for i in range(gd.right.rank))
+
+    def refuse(g, m):
+        raise AssertionError("congruent called on an isometry known by construction")
+    monkeypatch.setattr(lattices, "congruent", refuse)
+    id_right = Isometry.identity(gd.right)
+    assert id_right.apply(root) == root
+    assert (tbar @ tbar).matrix == ((1, 0, 0), (2, 1, 0), (24, 24, 1))
+    assert (-tbar).matrix == ((-1, 0, 0), (-1, -1, 0), (-6, -12, -1))
+    assert tbar.inverse().matrix == ((1, 0, 0), (-1, 1, 0), (6, -12, 1))
+    assert R_map(stab["T"], 6).to_isometry() == tbar
+    assert root_reflection(gd.right, root).apply(root) == tuple(-x for x in root)
+    assert glue_extends(gd, tbar, id_right).lattice == gd.overlattice
+    # the public constructor still checks the form
+    with pytest.raises(AssertionError, match="known by construction"):
+        Isometry(U6, tbar.matrix)
