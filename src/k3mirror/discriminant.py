@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from ._frozen import Frozen
 from .lattices import IntLattice, Isometry, bilinear, direct_sum, make_standard, signature
@@ -19,10 +19,8 @@ from .linalg import (
     Mat,
     Vec,
     block_diag,
-    congruent,
     freeze_mat,
     identity,
-    inverse,
     is_integral,
     mat_mul,
     mat_vec,
@@ -54,26 +52,28 @@ class DiscriminantGroup(Frozen):
         """Coordinates of the class of x in the cyclic factors (x must lie in L*)."""
         if len(x) != self.lattice.rank:
             raise ValueError("vector length does not match lattice rank")
-        gx = mat_vec(self.lattice.gram, tuple(Fraction(c) for c in x))
-        if not is_integral(gx):
+        den = lcm(*(Fraction(c).denominator for c in x))
+        return self._class_of(tuple(int(c * den) for c in x), den)
+
+    def _class_of(self, num: Vec, den: int) -> tuple[int, ...]:
+        """class_of(num / den) for an integer vector num."""
+        gx = mat_vec(self.lattice.gram, num)
+        if any(c % den for c in gx):
             raise ValueError("vector is not in the dual lattice")
-        m = tuple(int(c) for c in gx)
-        coords = mat_vec(self.left_transform, m)
-        return tuple(int(c) % d for c, d in zip(coords, self.all_factors) if d > 1)
+        coords = mat_vec(self.left_transform, tuple(c // den for c in gx))
+        return tuple(c % d for c, d in zip(coords, self.all_factors) if d > 1)
 
 
 @lru_cache(maxsize=None)
 def discriminant_group(lat: IntLattice) -> DiscriminantGroup:
-    """Compute A_L via the Smith normal form of the Gram matrix."""
+    """A_L from the Smith form: lifts r_i / d_i (r_i right-transform columns)."""
     d, left, right = smith_normal_decomp(lat.gram)
-    lifts = []
-    for i, di in enumerate(d):
-        if di > 1:
-            lifts.append(tuple(Fraction(right[r][i], di) for r in range(lat.rank)))
-    lifts = tuple(lifts)
-    qvals = tuple(Fraction(bilinear(lat, v, v)) % 2 for v in lifts)
-    bvals = freeze_mat([[Fraction(bilinear(lat, u, v)) % 1 for v in lifts] for u in lifts])
     factors = tuple(di for di in d if di > 1)
+    cols = [tuple(row[i] for row in right) for i, di in enumerate(d) if di > 1]
+    lifts = tuple(tuple(Fraction(x, di) for x in col) for col, di in zip(cols, factors))
+    qvals = tuple(Fraction(bilinear(lat, c, c), di * di) % 2 for c, di in zip(cols, factors))
+    bvals = freeze_mat([[Fraction(bilinear(lat, u, v), du * dv) % 1
+                         for v, dv in zip(cols, factors)] for u, du in zip(cols, factors)])
     group = DiscriminantGroup(lat, factors, lifts, qvals, bvals, left, d)
     assert group.order == abs(lat.determinant)
     return group
@@ -87,7 +87,9 @@ def induced_disc_action(lat: IntLattice, g: Isometry) -> Mat:
     """
     Isometry._require(lat, g)
     group = discriminant_group(lat)
-    cols = [group.class_of(mat_vec(g.matrix, lift)) for lift in group.generator_lifts]
+    # the lift r / d (r integral) maps to (g r) / d: one exact division per class
+    cols = [group._class_of(mat_vec(g.matrix, [x.numerator * d // x.denominator for x in lift]), d)
+            for lift, d in zip(group.generator_lifts, group.invariant_factors)]
     k = len(group.invariant_factors)
     return freeze_mat([[cols[j][i] for j in range(k)] for i in range(k)])
 
@@ -140,17 +142,18 @@ def construct_mirror_embedding(n: int) -> GlueData:
                        make_standard("Mcheck_n", n),
                        label=f"U+Mcheck:{n}")              # basis (e', f', w, ...)
     sub = direct_sum(left, right, label=f"glue-sub:{n}")
-    rank = sub.rank
+    rank, index = sub.rank, 2 * n
     v_index, w_index = 1, left.rank + 2
-    glue = tuple(Fraction(1, 2 * n) if i in (v_index, w_index) else 0
-                 for i in range(rank))
+    glue = tuple(Fraction(1, index) if i in (v_index, w_index) else 0 for i in range(rank))
     over_basis = tuple(tuple(glue[i] if j == w_index else int(i == j) for j in range(rank))
                        for i in range(rank))
-    over_inv = inverse(over_basis)
-    over_gram = congruent(sub.gram, over_basis)
-    if not is_integral(over_gram):
-        raise ArithmeticError("glue vector does not produce an integral overlattice")
-    over_gram = tuple(tuple(int(x) for x in row) for row in over_gram)
+    # B^-1 takes e_w to index * e_w - e_v
+    over_inv = tuple(tuple(Fraction(index * (i == j) - (i == v_index) if j == w_index else i == j)
+                           for j in range(rank)) for i in range(rank))
+    # G g = e_v - e_w, so B^T G B is G with row and column w replaced by e_v
+    e_v = [int(i == v_index) for i in range(rank)]
+    over_gram = tuple(tuple(e_v[j] if i == w_index else e_v[i] if j == w_index else x
+                            for j, x in enumerate(row)) for i, row in enumerate(sub.gram))
     overlattice = IntLattice(over_gram, label=f"glued:{n}")
     if not overlattice.is_even or abs(overlattice.determinant) != 1:
         raise ArithmeticError("overlattice is not even unimodular")

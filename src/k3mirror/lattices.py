@@ -20,15 +20,16 @@ from ._frozen import Frozen
 from .linalg import (
     Mat,
     Vec,
+    _bareiss,
     block_diag,
     congruent,
     det,
     freeze_mat,
     identity,
-    inverse,
     is_integral,
     mat_mul,
     mat_vec,
+    transpose,
 )
 
 # Cartan matrix of E8, Bourbaki node order (chain 1-3-4-5-6-7-8, node 2 on 4).
@@ -142,8 +143,12 @@ class Isometry(Frozen):
         return mat_vec(self.matrix, v)
 
     def inverse(self) -> "Isometry":
-        inv = inverse(self.matrix)   # integral: det(M)^2 det G = det G makes det M = +-1
-        return Isometry._known(self.lattice, tuple(tuple(int(x) for x in row) for row in inv))
+        """G^-1 M^T G, in integers: G X = M^T G solved fraction-free."""
+        g, n = self.lattice.gram, self.lattice.rank
+        rows = [[*gi, *ri] for gi, ri in zip(g, mat_mul(transpose(self.matrix), g))]
+        _bareiss(rows, n)   # row i ends as d (e_i | X_i)
+        return Isometry._known(self.lattice, tuple(tuple(x // r[i] for x in r[n:])
+                                                   for i, r in enumerate(rows)))
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
         Isometry._require(self.lattice, other)
@@ -241,10 +246,18 @@ def make_standard(name: str, n: int | None = None) -> IntLattice:
 
 @lru_cache(maxsize=None)
 def signature_of_gram(gram: Mat) -> tuple[int, int]:
-    """(p, q) counts of positive/negative squares, by exact congruence
-    diagonalization over Q; raises ValueError exactly when the form is
-    degenerate.  Row operations alone suffice: they leave the trailing block
+    """(p, q) counts of positive/negative squares; raises ValueError exactly
+    when the form is degenerate.  It adds over orthogonal blocks, each through
+    this cache (E8(-1) is diagonalized once); a block is diagonalized by exact
+    congruence over Q, with row operations alone: they leave the trailing block
     symmetric (its Schur complement), and row k is not read after step k."""
+    blocks = []   # the connected components of the nonzero entries
+    for i, row in enumerate(gram):
+        linked = [b for b in blocks if any(row[j] for j in b)]
+        blocks = [b for b in blocks if b not in linked] + [sorted([i, *sum(linked, [])])]
+    if len(blocks) > 1:
+        sigs = [signature_of_gram(tuple(tuple(gram[i][j] for j in b) for i in b)) for b in blocks]
+        return sum(p for p, _ in sigs), sum(q for _, q in sigs)
     n = len(gram)
     a = [[Fraction(x) for x in row] for row in gram]
     p = q = 0

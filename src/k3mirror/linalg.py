@@ -2,13 +2,14 @@
 
 Matrices are immutable tuples of row tuples, vectors are plain tuples;
 entries are ints or Fractions.  Nothing here ever touches floating point.
-Sizes stay tiny (rank <= 24), so plain Gaussian elimination over Fraction
-is both exact and fast enough.
+Sizes stay tiny (rank <= 24): determinants and the Smith normal form stay
+in integers, and ``solve`` is plain Gaussian elimination over Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Vec = tuple
 Mat = tuple
@@ -48,26 +49,33 @@ def congruent(g: Mat, m: Mat) -> Mat:
 
 
 def det(a: Mat) -> int | Fraction:
-    """Exact determinant by Gaussian elimination over Fraction."""
-    n = len(a)
-    rows = [[Fraction(x) for x in row] for row in a]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+    """Exact determinant, fraction-free: the entries are scaled to integers by
+    the lcm of their denominators (1 for integer input)."""
+    den = lcm(*(x.denominator for row in a for x in row))
+    result = Fraction(_bareiss([[int(x * den) for x in row] for row in a], len(a)), den ** len(a))
+    return int(result) if result.denominator == 1 else result
+
+
+def _bareiss(m: list, n: int) -> int:
+    """Fraction-free (Bareiss) elimination of the integer rows m = [a | b] in
+    place, a square of size n; returns det a.  With columns b it is Gauss-Jordan: unless
+    det a = 0, each m[i][i] ends as d = +-det a and b as d a^-1 b.  Every
+    entry is a minor of [a | b], so every division is exact."""
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
             return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        pivot = rows[col][col]
-        result *= pivot
-        for r in range(col + 1, n):
-            f = rows[r][col] / pivot
-            if f:
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    result *= sign
-    return int(result) if result.denominator == 1 else result
+        p, mk = m[k][k], m[k]
+        for i in range(0 if len(mk) > n else k + 1, n):
+            f = m[i][k]
+            if i != k and (f or p != prev):
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], mk)]
+        prev = p
+    return sign * prev
 
 
 def solve(a: Mat, rhs: Mat) -> Mat:
@@ -99,7 +107,7 @@ def inverse(a: Mat) -> Mat:
 def is_integral(a) -> bool:
     if isinstance(a[0], tuple):
         return all(is_integral(row) for row in a)
-    return all(Fraction(x).denominator == 1 for x in a)
+    return all(isinstance(x, int) or Fraction(x).denominator == 1 for x in a)
 
 
 # -- Smith normal form over Z ---------------------------------------------------
@@ -157,26 +165,23 @@ def _elimination(pivot: int, x: int) -> tuple[tuple[int, int, int, int], int]:
     return (a, b, x // g, -(pivot // g)), g
 
 
-def _eye(n: int) -> list:
-    return [list(row) for row in identity(n)]
-
-
-def _snf(m: list, rows: int, cols: int) -> tuple[tuple[int, ...], list, list]:
-    """Invariants and transforms of the rows x cols list matrix m (consumed)."""
-    if not rows or not cols:
-        return (), _eye(rows), _eye(cols)
-    s, t = _eye(rows), _eye(cols)
+def _snf(m: list, s: list, t: list, k: int) -> tuple[int, ...]:
+    """Invariants of the list matrix m (consumed), the whole matrix from row and column
+    k on; its row and column operations go in place to rows k.. of s and columns k.. of t."""
+    rows, cols = len(m), len(m[0])
 
     # bring a nonzero entry to m[0][0]: first from column 0, else from row 0
     i = next((i for i in range(rows) if m[i][0]), None)
     if i:
         m[0], m[i] = m[i], m[0]
-        s[0], s[i] = s[i], s[0]
+        s[k], s[k + i] = s[k + i], s[k]
     elif i is None:
         j = next((j for j in range(cols) if m[0][j]), None)
         if j:
-            for row in m + t:
+            for row in m:
                 row[0], row[j] = row[j], row[0]
+            for row in t:
+                row[k], row[k + j] = row[k + j], row[k]
 
     # clear row 0 and column 0 except the pivot, alternately
     while any(m[0][1:]) or any(m[i][0] for i in range(1, rows)):
@@ -185,36 +190,32 @@ def _snf(m: list, rows: int, cols: int) -> tuple[tuple[int, ...], list, list]:
             if m[j][0]:
                 ops, pivot = _elimination(pivot, m[j][0])
                 _add_rows(m, 0, j, *ops)
-                _add_rows(s, 0, j, *ops)
+                _add_rows(s, k, k + j, *ops)
         pivot = m[0][0]
         for j in range(1, cols):
             if m[0][j]:
                 ops, pivot = _elimination(pivot, m[0][j])
                 _add_columns(m, 0, j, *ops)
-                _add_columns(t, 0, j, *ops)
+                _add_columns(t, k, k + j, *ops)
 
     if m[0][0] < 0:
         m[0][0] = -m[0][0]
-        s[0] = [-x for x in s[0]]
+        s[k] = [-x for x in s[k]]
 
     invs: tuple[int, ...] = ()
     if rows > 1 and cols > 1:
-        invs, s_small, t_small = _snf([r[1:] for r in m[1:]], rows - 1, cols - 1)
-        s = [s[0]] + [list(row) for row in mat_mul(s_small, s[1:])]
-        t_cols = transpose(t_small)
-        t = [[row[0], *mat_vec(t_cols, row[1:])] for row in t]
+        invs = _snf([r[1:] for r in m[1:]], s, t, k + 1)
 
     if not m[0][0]:
-        if rows > 1:
-            s = s[1:] + [s[0]]
-        if cols > 1:
-            t = [row[1:] + [row[0]] for row in t]
-        return invs + (0,), s, t
+        s[k:] = s[k + 1:] + [s[k]]
+        for row in t:
+            row[k:] = row[k + 1:] + [row[k]]
+        return invs + (0,)
 
     result = [m[0][0], *invs]
     # the pivot need not divide the invariants of the rest of the matrix
-    for i in range(len(result) - 1):
-        a, b = result[i], result[i + 1]
+    for i in range(k, k + len(result) - 1):
+        a, b = result[i - k], result[i - k + 1]
         if not b or not b % a:
             break
         x, y, d = _gcdex(a, b)
@@ -224,8 +225,8 @@ def _snf(m: list, rows: int, cols: int) -> tuple[tuple[int, ...], list, list]:
         _add_rows(s, i, i + 1, 1, -alpha, 0, 1)
         _add_columns(t, i, i + 1, 1, 0, -beta, 1)
         _add_rows(s, i, i + 1, 0, 1, -1, 0)
-        result[i], result[i + 1] = d, b * alpha
-    return tuple(result), s, t
+        result[i - k], result[i - k + 1] = d, b * alpha
+    return tuple(result)
 
 
 def smith_normal_decomp(a: Mat) -> tuple[tuple[int, ...], Mat, Mat]:
@@ -234,5 +235,6 @@ def smith_normal_decomp(a: Mat) -> tuple[tuple[int, ...], Mat, Mat]:
     each other in order, and come before the zeros."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    invs, s, t = _snf([[int(x) for x in row] for row in a], rows, cols)
+    s, t = [list(row) for row in identity(rows)], [list(row) for row in identity(cols)]
+    invs = _snf([[int(x) for x in row] for row in a], s, t, 0) if rows and cols else ()
     return invs, freeze_mat(s), freeze_mat(t)

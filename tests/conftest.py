@@ -3,6 +3,7 @@ summand, used by the discriminant, modular and glue test suites."""
 
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -55,6 +56,29 @@ def random_word(rng: random.Random, gens, max_len=5):
     for _ in range(rng.randint(1, max_len)):
         m = mat_mul(m, rng.choice(gens).matrix)
     return Isometry(gens[0].lattice, m)
+
+
+def fraction_det(a):
+    """The former determinant: Gaussian elimination over Fraction, kept as
+    the reference for the fraction-free one."""
+    n = len(a)
+    rows = [[Fraction(x) for x in row] for row in a]
+    sign, result = 1, Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            sign = -sign
+        pivot = rows[col][col]
+        result *= pivot
+        for r in range(col + 1, n):
+            f = rows[r][col] / pivot
+            if f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    result *= sign
+    return int(result) if result.denominator == 1 else result
 
 
 @pytest.fixture

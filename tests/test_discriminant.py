@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import primefactors
 
-from conftest import mirror_side_isometries, n_side_isometries, random_word
+from conftest import fraction_det, mirror_side_isometries, n_side_isometries, random_word
 from k3mirror import discriminant
 from k3mirror.discriminant import (
+    GlueData,
     construct_mirror_embedding,
     cyclic_disc_isometry_count,
     discriminant_group,
@@ -21,11 +22,22 @@ from k3mirror.lattices import (
     IntLattice,
     Isometry,
     bilinear,
+    direct_sum,
     make_standard,
     orientation_sign_positive,
+    root_reflection,
     signature,
 )
-from k3mirror.linalg import block_diag, identity, is_integral, mat_mul
+from k3mirror.linalg import (
+    block_diag,
+    congruent,
+    freeze_mat,
+    identity,
+    inverse,
+    is_integral,
+    mat_mul,
+    mat_vec,
+)
 from k3mirror.modular import monodromy_generators, u_plus_mn
 
 GENS = monodromy_generators(6)
@@ -94,9 +106,11 @@ def test_lift_choice_does_not_change_classes():
 
 
 def test_dual_vector_required():
-    group = discriminant_group(U6)
-    with pytest.raises(ValueError):
-        group.class_of((Fraction(1, 5), 0, 0))
+    for lat, x in ((U6, (Fraction(1, 5), 0, 0)),
+                   (make_standard("Mcheck_n", 6), (0, Fraction(1, 2)) + (0,) * 17),
+                   (make_standard("two_n", 6), (Fraction(1, 24),))):
+        with pytest.raises(ValueError, match="^vector is not in the dual lattice$"):
+            discriminant_group(lat).class_of(x)
 
 
 def test_class_of_refuses_a_vector_of_another_rank():
@@ -104,6 +118,87 @@ def test_class_of_refuses_a_vector_of_another_rank():
     for x in ((0, Fraction(1, 12)), (0, Fraction(1, 12), 0, 0), ()):
         with pytest.raises(ValueError, match="vector length"):
             group.class_of(x)
+
+
+# -- the former Fraction route of the discriminant maps, kept as a reference ----
+
+def _former_class_of(group, x):
+    gx = mat_vec(group.lattice.gram, tuple(Fraction(c) for c in x))
+    if not is_integral(gx):
+        raise ValueError("vector is not in the dual lattice")
+    coords = mat_vec(group.left_transform, tuple(int(c) for c in gx))
+    return tuple(int(c) % d for c, d in zip(coords, group.all_factors) if d > 1)
+
+
+def _former_disc_action(lat, g):
+    group = discriminant_group(lat)
+    cols = [_former_class_of(group, mat_vec(g.matrix, lift)) for lift in group.generator_lifts]
+    k = len(group.invariant_factors)
+    return freeze_mat([[cols[j][i] for j in range(k)] for i in range(k)])
+
+
+def _mcheck_isometries(n):
+    """Isometries of <-2n> + U + E8(-1)^2, basis (w, e, f, E8, E8): identity,
+    -id, the w-reflection, the swap of e and f, the E8 swap, a root reflection."""
+    lat = make_standard("Mcheck_n", n)
+    rank = lat.rank
+
+    def permutation(perm, signs=None):
+        return Isometry(lat, tuple(tuple((signs or {}).get(j, 1) if perm[j] == i else 0
+                                         for j in range(rank)) for i in range(rank)))
+
+    ident = list(range(rank))
+    swap_u = ident[:1] + [2, 1] + ident[3:]
+    swap_e8 = ident[:3] + ident[11:] + ident[3:11]
+    return [Isometry.identity(lat), -Isometry.identity(lat), permutation(ident, {0: -1}),
+            permutation(swap_u), permutation(swap_e8),
+            root_reflection(lat, tuple(int(i == 3) for i in range(rank)))]
+
+
+def _disc_kind_isometries(n):
+    """Generators on U + <2n>, U + Mcheck_n and the four lattices of the
+    benchmark's disc ops (U_plus_Mn, Mcheck_n, two_n, minus_two_n)."""
+    gd = construct_mirror_embedding(n)
+    rank_one = [make_standard(name, n) for name in ("two_n", "minus_two_n")]
+    return ([n_side_isometries(n)[1], mirror_side_isometries(gd), _mcheck_isometries(n)]
+            + [[Isometry.identity(lat), -Isometry.identity(lat)] for lat in rank_one])
+
+
+def _assert_former_fraction_route(rng, gens):
+    """Integer numerators over the invariant factor against the former
+    Fraction arithmetic: the forms q and b of the group, the actions of
+    seeded words and the classes of seeded dual vectors."""
+    lat = gens[0].lattice
+    group = discriminant_group(lat)
+    lifts = group.generator_lifts
+    assert group.qvals == tuple(Fraction(bilinear(lat, v, v)) % 2 for v in lifts)
+    assert group.bvals == freeze_mat([[Fraction(bilinear(lat, u, v)) % 1 for v in lifts]
+                                      for u in lifts])
+    for _ in range(12):
+        g = random_word(rng, gens)
+        assert induced_disc_action(lat, g) == _former_disc_action(lat, g)
+        x = [rng.randint(-3, 3) for _ in range(lat.rank)]
+        for lift in lifts:
+            c = rng.randint(-5, 5)
+            x = [a + c * b for a, b in zip(x, lift)]
+        assert group.class_of(tuple(x)) == _former_class_of(group, x)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 6, 7, 12, 30, 60))
+def test_disc_maps_match_the_former_fraction_route(n):
+    rng = random.Random(9000 + n)
+    for gens in _disc_kind_isometries(n):
+        _assert_former_fraction_route(rng, gens)
+
+
+def test_disc_maps_match_the_former_fraction_route_on_reducible_lifts():
+    """Lifts whose entries share a factor with the invariant factor, such as
+    (2/9, -1/9, 1/4) for the factor 36, so a numerator must be rescaled."""
+    lat = IntLattice(((6, 3, 0), (3, 6, 0), (0, 0, 4)))
+    assert Fraction(2, 9) in discriminant_group(lat).generator_lifts[1]
+    swap, flip = ((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, -1))
+    gens = [Isometry(lat, m) for m in (identity(3), swap, flip)] + [-Isometry.identity(lat)]
+    _assert_former_fraction_route(random.Random(9100), gens)
 
 
 def test_disc_action_examples():
@@ -161,6 +256,44 @@ def test_mirror_embedding_small_n():
     gd = construct_mirror_embedding(1)
     assert gd.index == 2
     assert signature(gd.overlattice) == (4, 20)
+
+
+def _former_embedding(n):
+    """The former build: the inverse basis by elimination over Fraction, the
+    Gram by the congruence B^T G B, the determinant over Fraction."""
+    left = make_standard("U_plus_Mn", n)
+    right = direct_sum(make_standard("U"), make_standard("Mcheck_n", n), label=f"U+Mcheck:{n}")
+    sub = direct_sum(left, right, label=f"glue-sub:{n}")
+    rank = sub.rank
+    v_index, w_index = 1, left.rank + 2
+    glue = tuple(Fraction(1, 2 * n) if i in (v_index, w_index) else 0 for i in range(rank))
+    over_basis = tuple(tuple(glue[i] if j == w_index else int(i == j) for j in range(rank))
+                       for i in range(rank))
+    over_gram = congruent(sub.gram, over_basis)
+    assert is_integral(over_gram)
+    overlattice = IntLattice(tuple(tuple(int(x) for x in row) for row in over_gram),
+                             label=f"glued:{n}")
+    assert overlattice.is_even and abs(fraction_det(overlattice.gram)) == 1
+    assert signature(overlattice) == (4, 20)
+    return GlueData(left=left, right=right, sub=sub, over_basis=over_basis,
+                    over_basis_inv=inverse(over_basis), overlattice=overlattice,
+                    glue_vector=glue, index=2 * n)
+
+
+def _entry_types(gd):
+    return [[[type(x) for x in row] for row in m]
+            for m in (gd.over_basis, gd.over_basis_inv, gd.overlattice.gram)]
+
+
+def test_mirror_embedding_matches_the_former_build():
+    """The closed-form embedding equals the former build field by field,
+    down to the type of every entry: over_basis_inv stays all Fraction."""
+    for n in range(1, 61):
+        gd, former = construct_mirror_embedding(n), _former_embedding(n)
+        assert gd == former and repr(gd) == repr(former)
+        assert _entry_types(gd) == _entry_types(former)
+        assert {type(x) for row in gd.over_basis_inv for x in row} == {Fraction}
+        assert [type(x) for x in gd.glue_vector] == [type(x) for x in former.glue_vector]
 
 
 def test_glue_examples():
@@ -266,7 +399,9 @@ _STEPS = st.lists(st.tuples(st.sampled_from(("mul", "neg", "inv")), st.integers(
 def _derived_word(gens, steps):
     """Follow the drawn steps from the identity through @, unary minus and
     inverse.  Every isometry on the way must match the matrix computed
-    beside it and pass the validating constructor unchanged."""
+    beside it (the inverse: the former one over Fraction) and pass the
+    validating constructor unchanged, and its determinant must equal the
+    former one over Fraction."""
     g = Isometry.identity(gens[0].lattice)
     m = identity(len(g.matrix))
     for op, i in steps:
@@ -276,10 +411,13 @@ def _derived_word(gens, steps):
             g, m = -g, tuple(tuple(-x for x in row) for row in m)
         else:
             g = g.inverse()
+            # the former inverse: elimination over Fraction
+            assert g.matrix == tuple(tuple(int(x) for x in row) for row in inverse(m))
             assert mat_mul(g.matrix, m) == identity(len(m))
             m = g.matrix
         assert g.matrix == m
         assert Isometry(g.lattice, g.matrix) == g
+        assert g.determinant == fraction_det(m) in (1, -1)
     return g
 
 

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -19,7 +21,7 @@ from k3mirror.lattices import (
     signature,
     signature_of_gram,
 )
-from k3mirror.linalg import congruent, det, mat_vec, solve
+from k3mirror.linalg import block_diag, congruent, det, mat_vec, solve
 from k3mirror.modular import R_map, monodromy_generators, table1_stabilizers
 
 U6 = make_standard("U_plus_Mn", 6)
@@ -386,6 +388,43 @@ def test_signature_matches_former_two_sided_elimination(g):
             signature_of_gram(g)
     else:
         assert signature_of_gram(g) == expected
+
+
+def _hidden_block_gram(rng):
+    """A symmetric matrix that is block diagonal under a hidden permutation;
+    one block in four is degenerate: its last row repeats its first."""
+    gram = ()
+    for _ in range(rng.randint(1, 5)):
+        size = rng.randint(1, 5)
+        upper = {(i, j): rng.randint(-3, 3) for i in range(size) for j in range(i, size)}
+        block = [[upper[min(i, j), max(i, j)] for j in range(size)] for i in range(size)]
+        if rng.random() < 0.25:
+            block[-1] = list(block[0])
+            for row in block:
+                row[-1] = row[0]
+        gram = block_diag(gram, tuple(map(tuple, block))) if gram else tuple(map(tuple, block))
+    order = list(range(len(gram)))
+    rng.shuffle(order)
+    return tuple(tuple(gram[i][j] for j in order) for i in order)
+
+
+def test_signature_adds_over_hidden_blocks():
+    """The block-additive signature against one plain elimination of the
+    whole matrix; a degenerate block still makes the form degenerate."""
+    rng = random.Random(41)
+    degenerate = 0
+    for _ in range(400):
+        g = _hidden_block_gram(rng)
+        try:
+            expected = _former_signature(g)
+        except ValueError:
+            degenerate += 1
+            with pytest.raises(ValueError, match="degenerate form"):
+                signature_of_gram(g)
+        else:
+            assert signature_of_gram(g) == expected
+    assert 0 < degenerate < 400
+    assert signature_of_gram.cache_info().currsize > 0
 
 
 @pytest.mark.parametrize("name,n", [("U", None), ("E8minus", None), ("K3", None),
