@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from ._frozen import Frozen
 from .lattices import IntLattice, Isometry, bilinear, direct_sum, make_standard, signature
 from .linalg import (
     Mat,
     Vec,
+    _numerators,
     block_diag,
     freeze_mat,
     identity,
@@ -52,8 +53,8 @@ class DiscriminantGroup(Frozen):
         """Coordinates of the class of x in the cyclic factors (x must lie in L*)."""
         if len(x) != self.lattice.rank:
             raise ValueError("vector length does not match lattice rank")
-        den = lcm(*(Fraction(c).denominator for c in x))
-        return self._class_of(tuple(int(c * den) for c in x), den)
+        (num,), den = _numerators((tuple(map(Fraction, x)),))
+        return self._class_of(num, den)
 
     def _class_of(self, num: Vec, den: int) -> tuple[int, ...]:
         """class_of(num / den) for an integer vector num."""

@@ -1,9 +1,11 @@
 """Integer lattices, exact bilinear forms, isometries and orientation tests.
 
 A lattice is a free Z-module of finite rank with a fixed basis and a
-symmetric nondegenerate integer Gram matrix.  Every computation is exact:
-signatures come from rational congruence diagonalization, orientation
-signs from exact projections onto a canonical positive subspace.
+symmetric nondegenerate integer Gram matrix, and nothing else: every
+derived datum is computed from the Gram matrix.  Every computation is exact:
+signatures come from rational congruence diagonalization, and orientation
+signs from exact projections onto the positive subspace that the same
+diagonalization spans.
 
 The hyperbolic plane U is always taken with Gram [[0,-1],[-1,0]], i.e.
 <e,f> = -1 for the basis (e,f).  This single convention is used for every
@@ -21,6 +23,7 @@ from .linalg import (
     Mat,
     Vec,
     _bareiss,
+    _numerators,
     block_diag,
     congruent,
     det,
@@ -51,42 +54,29 @@ STANDARD_NAMES = ("U", "E8minus", "two_n", "minus_two_n", "K3", "Mukai",
 
 
 class IntLattice(Frozen):
-    """A finite-rank lattice with a symmetric nondegenerate integer Gram matrix.
+    """A finite-rank lattice: a symmetric nondegenerate integer Gram matrix
+    and an optional label.  Everything else, the orientation of positive
+    planes included, is derived from the Gram matrix."""
 
-    ``positive_basis``, when set, is a tuple of integer vectors spanning a
-    maximal positive-definite subspace; it is the canonical witness used by
-    :func:`orientation_sign_positive`.
-    """
-
-    __slots__ = ("gram", "label", "positive_basis")
-    _defaults = {"label": None, "positive_basis": None}
+    __slots__ = ("gram", "label")
+    _defaults = {"label": None}
 
     def __post_init__(self):
         g = freeze_mat(self.gram)
-        object.__setattr__(self, "gram", g)
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")
+        if n and not is_integral(g):
+            raise ValueError("Gram matrix must be integral")
+        if any(type(x) is not int for row in g for x in row):
+            g = tuple(tuple(map(int, row)) for row in g)
+        object.__setattr__(self, "gram", g)
         if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
             raise ValueError("Gram matrix must be symmetric")
         try:
-            p = signature_of_gram(g)[0]
+            signature_of_gram(g)
         except ValueError:
             raise ValueError("Gram matrix must be nondegenerate") from None
-        if self.positive_basis is not None:
-            pos = tuple(tuple(v) for v in self.positive_basis)
-            object.__setattr__(self, "positive_basis", pos)
-            if len(pos) != p:
-                raise ValueError("positive basis does not span a maximal positive subspace")
-            if pos:
-                witness = freeze_mat(tuple(tuple(bilinear(self, u, v) for v in pos)
-                                           for u in pos))
-                try:
-                    definite = signature_of_gram(witness) == (len(pos), 0)
-                except ValueError:
-                    definite = False
-                if not definite:
-                    raise ValueError("positive basis is not positive definite")
 
     @property
     def rank(self) -> int:
@@ -94,7 +84,7 @@ class IntLattice(Frozen):
 
     @property
     def determinant(self) -> int:
-        return int(det(self.gram))
+        return det(self.gram)
 
     @property
     def is_even(self) -> bool:
@@ -175,37 +165,23 @@ def bilinear(lat: IntLattice, x: Vec, y: Vec):
 
 def direct_sum(l1: IntLattice, l2: IntLattice, label: str | None = None) -> IntLattice:
     """Orthogonal direct sum, basis of l1 followed by basis of l2."""
-    n1, n2 = l1.rank, l2.rank
-    g = block_diag(l1.gram, l2.gram)
-    pos = tuple(tuple(v) + (0,) * n2 for v in (l1.positive_basis or ()))
-    pos += tuple((0,) * n1 + tuple(v) for v in (l2.positive_basis or ()))
-    if len(pos) != signature_of_gram(g)[0]:
-        pos = None
     if label is None and l1.label and l2.label:
         label = f"{l1.label}+{l2.label}"
-    return IntLattice(g, label=label, positive_basis=pos)
+    return IntLattice(block_diag(l1.gram, l2.gram), label=label)
 
 
 def hyperbolic_extension(lat: IntLattice, label: str | None = None) -> IntLattice:
-    """U + lat with basis (e, lat basis..., f), <e,f> = -1 and e,f isotropic.
-
-    The positive subspace witness gains e - f, which has square 2.
-    """
+    """U + lat with basis (e, lat basis..., f), <e,f> = -1 and e,f isotropic."""
     n = lat.rank
     rows = [(0,) + (0,) * n + (-1,)]
     rows += [(0,) + tuple(lat.gram[i]) + (0,) for i in range(n)]
     rows += [(-1,) + (0,) * n + (0,)]
-    pos = ((1,) + (0,) * n + (-1,),)
-    pos += tuple((0,) + tuple(v) + (0,) for v in (lat.positive_basis or ()))
-    g = freeze_mat(rows)
-    if len(pos) != signature_of_gram(g)[0]:
-        pos = None
-    return IntLattice(g, label=label, positive_basis=pos)
+    return IntLattice(rows, label=label)
 
 
 def _e8_minus() -> IntLattice:
     g = tuple(tuple(-x for x in row) for row in _E8_CARTAN)
-    return IntLattice(g, label="E8minus", positive_basis=())
+    return IntLattice(g, label="E8minus")
 
 
 def make_standard(name: str, n: int | None = None) -> IntLattice:
@@ -222,13 +198,13 @@ def make_standard(name: str, n: int | None = None) -> IntLattice:
         if n is None or n <= 0:
             raise ValueError(f"{name} requires a positive integer n")
     if name == "U":
-        return IntLattice(_U_GRAM, label="U", positive_basis=((1, -1),))
+        return IntLattice(_U_GRAM, label="U")
     if name == "E8minus":
         return _e8_minus()
     if name == "two_n":
-        return IntLattice(((2 * n,),), label=f"<{2 * n}>", positive_basis=((1,),))
+        return IntLattice(((2 * n,),), label=f"<{2 * n}>")
     if name == "minus_two_n":
-        return IntLattice(((-2 * n,),), label=f"<-{2 * n}>", positive_basis=())
+        return IntLattice(((-2 * n,),), label=f"<-{2 * n}>")
     if name == "K3":
         e8 = _e8_minus()
         u = make_standard("U")
@@ -244,23 +220,16 @@ def make_standard(name: str, n: int | None = None) -> IntLattice:
     raise AssertionError("unreachable")
 
 
-@lru_cache(maxsize=None)
-def signature_of_gram(gram: Mat) -> tuple[int, int]:
-    """(p, q) counts of positive/negative squares; raises ValueError exactly
-    when the form is degenerate.  It adds over orthogonal blocks, each through
-    this cache (E8(-1) is diagonalized once); a block is diagonalized by exact
-    congruence over Q, with row operations alone: they leave the trailing block
-    symmetric (its Schur complement), and row k is not read after step k."""
-    blocks = []   # the connected components of the nonzero entries
-    for i, row in enumerate(gram):
-        linked = [b for b in blocks if any(row[j] for j in b)]
-        blocks = [b for b in blocks if b not in linked] + [sorted([i, *sum(linked, [])])]
-    if len(blocks) > 1:
-        sigs = [signature_of_gram(tuple(tuple(gram[i][j] for j in b) for i in b)) for b in blocks]
-        return sum(p for p, _ in sigs), sum(q for _, q in sigs)
+def _diagonal(gram: Mat) -> list[tuple[Fraction, list]]:
+    """The pairs (d_k, t_k) with T G T^T = diag(d_k), T the matrix of rows t_k;
+    raises ValueError exactly when the form is degenerate.  G is diagonalized
+    by exact congruence over Q with row operations alone, which leave the
+    trailing block symmetric (its Schur complement); row k is not read after
+    step k.  The same row operations act on an identity block kept beside G,
+    which ends as T."""
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    p = q = 0
+    a = [[Fraction(x) for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(gram)]
     for k in range(n):
         if a[k][k] == 0:
             # find a nonzero diagonal entry to swap in, else create one
@@ -274,21 +243,33 @@ def signature_of_gram(gram: Mat) -> tuple[int, int]:
                 if off is None:
                     raise ValueError("degenerate form")
                 # add row/col `off` into k: diagonal becomes 2*a[k][off] != 0
-                for j in range(n):
-                    a[k][j] += a[off][j]
+                a[k] = [x + y for x, y in zip(a[k], a[off])]
                 for i in range(n):
                     a[i][k] += a[i][off]
         d = a[k][k]
-        if d > 0:
-            p += 1
-        else:
-            q += 1
         for r in range(k + 1, n):
             f = a[r][k] / d
             if f:
-                for j in range(k, n):
+                for j in range(k, 2 * n):
                     a[r][j] -= f * a[k][j]
-    return (p, q)
+    return [(row[k], row[n:]) for k, row in enumerate(a)]
+
+
+@lru_cache(maxsize=None)
+def signature_of_gram(gram: Mat) -> tuple[int, int]:
+    """(p, q) counts of positive/negative squares; raises ValueError exactly
+    when the form is degenerate.  It adds over orthogonal blocks, each through
+    this cache (E8(-1) is diagonalized once), and counts the signs of the
+    diagonal of each block."""
+    blocks = []   # the connected components of the nonzero entries
+    for i, row in enumerate(gram):
+        linked = [b for b in blocks if any(row[j] for j in b)]
+        blocks = [b for b in blocks if b not in linked] + [sorted([i, *sum(linked, [])])]
+    if len(blocks) > 1:
+        sigs = [signature_of_gram(tuple(tuple(gram[i][j] for j in b) for i in b)) for b in blocks]
+        return sum(p for p, _ in sigs), sum(q for _, q in sigs)
+    p = sum(d > 0 for d, _ in _diagonal(gram))
+    return (p, len(gram) - p)
 
 
 def signature(lat: IntLattice) -> tuple[int, int]:
@@ -305,20 +286,24 @@ def is_isometry(lat: IntLattice, m: Mat) -> bool:
 
 def orientation_sign_positive(lat: IntLattice, g: Isometry) -> int:
     """Sign (+1/-1) of det of the form-orthogonal projection of the image of
-    the canonical positive basis back onto it.
+    a positive basis back onto it.
 
     +1 means g preserves the orientation of maximal positive-definite
-    subspaces.  The sign does not depend on the witness basis because the
-    set of positive p-planes is connected.
+    subspaces.  The basis is the rows t_k with d_k > 0 of the congruence
+    diagonalization of the Gram matrix, scaled to integers.  The sign does not
+    depend on the plane, because the positive p-planes form a connected set,
+    nor on its basis, because a change of basis A multiplies the det by
+    det(A)^2.
     """
-    if lat.positive_basis is None or len(lat.positive_basis) == 0:
-        raise ValueError(f"no canonical positive basis defined for {lat.label!r}")
     Isometry._require(lat, g)
-    basis = lat.positive_basis
+    rows = tuple(t for d, t in _diagonal(lat.gram) if d > 0)
+    if not rows:
+        raise ValueError(f"{lat.label or lat.gram!r} is negative definite: "
+                         "it has no positive plane to orient")
+    basis, _ = _numerators(rows)
     # the projection coordinates are gp^-1 rhs, gp the positive-definite Gram of the
     # basis, so their det has the sign of det(rhs), not 0 as g keeps positive planes positive
-    images = [g.apply(v) for v in basis]
-    rhs = tuple(tuple(bilinear(lat, u, img) for img in images) for u in basis)
+    rhs = mat_mul(mat_mul(basis, lat.gram), mat_mul(g.matrix, transpose(basis)))
     return 1 if det(rhs) > 0 else -1
 
 

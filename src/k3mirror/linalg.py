@@ -48,11 +48,18 @@ def congruent(g: Mat, m: Mat) -> Mat:
     return mat_mul(transpose(m), mat_mul(g, m))
 
 
+def _numerators(m: Mat) -> tuple[Mat, int]:
+    """(N, d) with d the least common denominator of the entries of m (ints
+    or Fractions) and N = d m the integer numerator matrix."""
+    d = lcm(*(x.denominator for row in m for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m), d
+
+
 def det(a: Mat) -> int | Fraction:
     """Exact determinant, fraction-free: the entries are scaled to integers by
     the lcm of their denominators (1 for integer input)."""
-    den = lcm(*(x.denominator for row in a for x in row))
-    result = Fraction(_bareiss([[int(x * den) for x in row] for row in a], len(a)), den ** len(a))
+    num, den = _numerators(a)
+    result = Fraction(_bareiss([list(row) for row in num], len(a)), den ** len(a))
     return int(result) if result.denominator == 1 else result
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from ._frozen import Frozen
 from .discriminant import (
@@ -23,7 +23,7 @@ from .discriminant import (
     induced_disc_action,
 )
 from .lattices import IntLattice, Isometry, make_standard, orientation_sign_positive
-from .linalg import Mat, congruent, freeze_mat, mat_mul
+from .linalg import Mat, _numerators, congruent, det, freeze_mat, mat_mul
 
 
 # the largest degree fm_partner_count accepts; trial division takes up to
@@ -112,18 +112,6 @@ def table1_stabilizers() -> dict[str, FracLinear]:
     }
 
 
-def _numerators(m: Mat) -> tuple[Mat, int]:
-    """(N, d) with d the least common denominator of the entries of m (ints
-    or Fractions) and N = d m the integer numerator matrix."""
-    d = lcm(*[x.denominator for row in m for x in row])
-    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m), d
-
-
-def _det3(m: Mat) -> int:
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 class SOMatrix(Frozen):
     """A 3x3 rational matrix m preserving the Gram form G of U + <2n>.
 
@@ -164,7 +152,7 @@ class SOMatrix(Frozen):
 
     @property
     def determinant(self) -> int:
-        return _det3(self.num) // self.den ** 3
+        return det(self.num) // self.den ** 3
 
     def __matmul__(self, other: "SOMatrix") -> "SOMatrix":
         if other.lattice != self.lattice:

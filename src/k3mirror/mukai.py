@@ -263,12 +263,10 @@ def normalize_mukai_vector(ctx: NSContext, v: MukaiVector, u: MukaiVector):
         u1 = apply_action(mv, u1)
 
     # ampleness: tensor by r*k*h with the smallest k >= 1 making the NS part
-    # a positive multiple of h; this keeps r and s mod r untouched
+    # m0 + k r^2 a0 a positive multiple of h; this keeps r and s mod r untouched
     m0 = int(v1.d[0])
     amp0 = int(ctx.ample[0])
-    k = 1
-    while m0 + k * v1.r * v1.r * amp0 <= 0:
-        k += 1
+    k = max(1, -m0 // (v1.r * v1.r * amp0) + 1)
     mv = Tensor(tuple(k * v1.r * c for c in ctx.ample))
     word.append(mv)
     v1 = apply_action(mv, v1)

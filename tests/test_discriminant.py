@@ -313,6 +313,28 @@ def test_glue_negation_pair_extends():
     assert ext is not None
 
 
+@pytest.mark.parametrize("n", [1, 6, 30])
+def test_glued_orientation_is_the_product_of_the_halves(n):
+    """The overlattice was never given a positive basis; the positive planes
+    of the two summands span one of it over Q, so an extended pair orients
+    it as the product of the signs of its halves.  Both signs occur."""
+    rng = random.Random(9100 + n)
+    gd = construct_mirror_embedding(n)
+    _, ngens = n_side_isometries(n)
+    kgens = mirror_side_isometries(gd)
+    pairs, seen = 0, set()
+    while pairs < 4 or len(seen) < 2:
+        g_left, g_right = random_word(rng, ngens), random_word(rng, kgens)
+        if not glue_compatible(gd, g_left, g_right):
+            continue
+        pairs += 1
+        sign = (orientation_sign_positive(gd.left, g_left)
+                * orientation_sign_positive(gd.right, g_right))
+        assert orientation_sign_positive(gd.overlattice, glue_extends(gd, g_left, g_right)) == sign
+        seen.add(sign)
+    assert pairs <= 8
+
+
 def _disc_scalar(lat, g):
     action = induced_disc_action(lat, g)
     return action[0][0]

@@ -21,7 +21,7 @@ from k3mirror.lattices import (
     signature,
     signature_of_gram,
 )
-from k3mirror.linalg import block_diag, congruent, det, mat_vec, solve
+from k3mirror.linalg import block_diag, congruent, det, mat_vec, solve, transpose
 from k3mirror.modular import R_map, monodromy_generators, table1_stabilizers
 
 U6 = make_standard("U_plus_Mn", 6)
@@ -121,10 +121,36 @@ def test_orientation_examples():
     assert orientation_sign_positive(U6, -Isometry.identity(U6)) == 1
 
 
-def test_orientation_requires_witness():
-    e8 = make_standard("E8minus")
-    with pytest.raises(ValueError):
-        orientation_sign_positive(e8, Isometry.identity(e8))
+def test_orientation_refuses_a_negative_definite_lattice():
+    for lat in (make_standard("E8minus"), IntLattice(((-2, 1), (1, -2)))):
+        with pytest.raises(ValueError, match="no positive plane to orient"):
+            orientation_sign_positive(lat, Isometry.identity(lat))
+
+
+def test_orientation_reads_only_the_gram(rng):
+    """A label-free lattice with the Gram of U + <12> orients every word as
+    U + <12> does; on <2> + <-2> + U the sign follows the positive lines
+    that a diagonal isometry negates."""
+    plain = IntLattice(U6.gram)
+    assert plain != U6
+    gens = [GENS["T"], GENS["S1"], GENS["S2"], -Isometry.identity(U6),
+            Isometry(U6, ((-1, 0, 0), (0, 1, 0), (0, 0, -1)))]
+    seen = set()
+    for _ in range(100):
+        g = rng.choice(gens)
+        for _ in range(rng.randint(0, 3)):
+            g = g @ rng.choice(gens)
+        sign = orientation_sign_positive(U6, g)
+        assert orientation_sign_positive(plain, Isometry(plain, g.matrix)) == sign
+        seen.add(sign)
+    assert seen == {1, -1}
+    # <2> + <-2> + U: negating the positive line of <2> reverses, of U keeps
+    lat = direct_sum(direct_sum(make_standard("two_n", 1), make_standard("minus_two_n", 1)),
+                     make_standard("U"))
+    for diag, expected in (((-1, 1, 1, 1), -1), ((-1, 1, -1, -1), 1), ((1, -1, 1, 1), 1),
+                           ((1, 1, -1, -1), -1)):
+        m = tuple(tuple(diag[i] if i == j else 0 for j in range(4)) for i in range(4))
+        assert orientation_sign_positive(lat, Isometry(lat, m)) == expected
 
 
 def test_orientation_multiplicative(rng):
@@ -185,18 +211,21 @@ def test_degenerate_gram_rejected():
         IntLattice(((1, 2), (2, 4)))
 
 
-def test_positive_basis_validated():
-    with pytest.raises(ValueError):
-        # not maximal: signature (2,1) needs two positive vectors
-        IntLattice(((0, 0, -1), (0, 12, 0), (-1, 0, 0)), positive_basis=((0, 1, 0),))
-    with pytest.raises(ValueError):
-        # e + f has square -2
-        IntLattice(((0, -1), (-1, 0)), positive_basis=((1, 1),))
+def test_non_integral_gram_rejected():
+    # int() would truncate 1/2 to a degenerate 0, and a float has no denominator
+    for gram in (((Fraction(1, 2),),), ((0.5,),), ((2, Fraction(1, 3)), (Fraction(1, 3), 2))):
+        with pytest.raises(ValueError, match="^Gram matrix must be integral$"):
+            IntLattice(gram)
+    # integral entries of another type are stored as ints
+    lat = IntLattice(((Fraction(4, 2), 1.0), (1, Fraction(-2))))
+    assert lat.gram == ((2, 1), (1, -2))
+    assert all(type(x) is int for row in lat.gram for x in row)
+    assert IntLattice.__slots__ == ("gram", "label")
 
 
 def test_orientation_on_rank24_positive_four_space():
     mukai = make_standard("Mukai")
-    assert len(mukai.positive_basis) == 4
+    assert signature(mukai) == (4, 20)
     assert orientation_sign_positive(mukai, -Isometry.identity(mukai)) == 1
     flip = tuple(tuple((-1 if i == j and i < 2 else (1 if i == j else 0))
                        for j in range(24)) for i in range(24))
@@ -224,7 +253,7 @@ def test_root_reflection_is_involution():
 def test_hyperbolic_extension_matches_u_plus_mn():
     built = hyperbolic_extension(make_standard("two_n", 6))
     assert built.gram == U6.gram
-    assert built.positive_basis == ((1, 0, -1), (0, 1, 0))
+    assert signature(built) == (2, 1)
 
 
 def test_lattice_serialization():
@@ -240,10 +269,20 @@ def test_bilinear_rational_inputs():
 
 # -- the former routes, kept as references -------------------------------------
 
+# the positive bases the lattices once carried: e - f of each U summand and
+# the generator of <12>, in the (e, v, f) basis of U + <12> and the (e, f,
+# E8, E8, U, U, U) basis of U + K3
+_FORMER_WITNESSES = {
+    "U+<12>": ((1, 0, -1), (0, 1, 0)),
+    "Mukai": tuple(tuple(1 if j == i else -1 if j == i + 1 else 0 for j in range(24))
+                   for i in (0, 18, 20, 22)),
+}
+
+
 def _orientation_by_solve(lat, g):
     """The former orientation sign: solve for the projection coordinates of
-    the images in the positive basis and take the sign of their det."""
-    basis = lat.positive_basis
+    the images in the former positive basis and take the sign of their det."""
+    basis = _FORMER_WITNESSES[lat.label]
     gp = tuple(tuple(bilinear(lat, u, v) for v in basis) for u in basis)
     images = [mat_vec(g.matrix, v) for v in basis]
     rhs = tuple(tuple(bilinear(lat, u, img) for img in images) for u in basis)
@@ -302,14 +341,15 @@ def _relabelled_copy(name, n=None):
     else:
         lat = direct_sum(make_standard("minus_two_n", n), direct_sum(u, direct_sum(e8, e8)))
         label = f"Mcheck:{n}"
-    return IntLattice(lat.gram, label=label, positive_basis=lat.positive_basis)
+    return IntLattice(lat.gram, label=label)
 
 
 @pytest.mark.parametrize("name,n", [("K3", None), ("Mukai", None)]
                          + [("Mcheck_n", n) for n in (1, 2, 6, 15, 30)])
 def test_standard_sums_match_former_relabelled_copies(name, n):
     new, old = make_standard(name, n), _relabelled_copy(name, n)
-    assert (new.gram, new.label, new.positive_basis) == (old.gram, old.label, old.positive_basis)
+    assert (new.gram, new.label) == (old.gram, old.label)
+    assert signature(new) == signature(old) == eigen_signature(new)
 
 
 def _former_signature(gram):
@@ -388,6 +428,40 @@ def test_signature_matches_former_two_sided_elimination(g):
             signature_of_gram(g)
     else:
         assert signature_of_gram(g) == expected
+
+
+def _assert_diagonalizes(g):
+    pairs = lattices._diagonal(g)
+    t = tuple(tuple(row) for _, row in pairs)
+    d = [dk for dk, _ in pairs]
+    assert congruent(g, transpose(t)) == tuple(
+        tuple(d[i] if i == j else 0 for j in range(len(g))) for i in range(len(g)))
+    assert 0 not in d
+    p = sum(dk > 0 for dk in d)
+    assert signature_of_gram(g) == (p, len(g) - p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_grams())
+def test_diagonal_is_a_congruence(g):
+    """T G T^T = diag(d_k) with every d_k nonzero on a nondegenerate Gram;
+    a degenerate one is refused."""
+    if det(g) == 0:
+        with pytest.raises(ValueError, match="degenerate form"):
+            lattices._diagonal(g)
+    else:
+        _assert_diagonalizes(g)
+
+
+@pytest.mark.parametrize("name,n", [("U", None), ("E8minus", None), ("K3", None),
+                                    ("Mukai", None), ("U_plus_Mn", 6), ("Mcheck_n", 6),
+                                    ("two_n", 3), ("minus_two_n", 3)])
+def test_diagonal_of_the_standard_grams(name, n):
+    _assert_diagonalizes(make_standard(name, n).gram)
+
+
+def test_diagonal_of_the_glued_overlattice():
+    _assert_diagonalizes(construct_mirror_embedding(6).overlattice.gram)
 
 
 def _hidden_block_gram(rng):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -270,6 +271,50 @@ def test_normalize_random_inputs():
         assert mukai_pairing(u2, v2) == -1
         assert v2.is_primitive()
         done += 1
+
+
+def _former_ampleness_k(m0, r, amp0):
+    """The former ampleness step: the smallest k >= 1 with m0 + k r^2 a0 > 0,
+    one k at a time."""
+    k = 1
+    while m0 + k * r * r * amp0 <= 0:
+        k += 1
+    return k
+
+
+def test_normalize_ampleness_step_matches_the_former_loop():
+    """The last action is the tensor by r k h, with the k the loop found, on
+    scrambled inputs pushed far onto the negative side of h."""
+    rng = random.Random(4711)
+    ks = set()
+    for _ in range(200):
+        ctx = rank_one_context(rng.randint(1, 20))
+        scramble = [_random_action(rng, ctx) for _ in range(rng.randint(0, 6))]
+        scramble.append(Tensor((rng.randint(-300, 300),)))
+        v = apply_word(scramble, mk(ctx, 0, (0,), 1))
+        u = apply_word(scramble, mk(ctx, 1, (0,), 0))
+        word, v2, _ = normalize_mukai_vector(ctx, v, u)
+        v1 = apply_word(word[:-1], v)
+        k = _former_ampleness_k(v1.d[0], v1.r, ctx.ample[0])
+        assert action_to_obj(word[-1]) == {"kind": "tensor", "b": [k * v1.r]}
+        assert v2.d[0] > 0
+        ks.add(k)
+    assert len(ks) > 10
+
+
+def test_normalize_a_huge_negative_degree_two_part_in_one_step():
+    """v = (2, m h, m^2) on the degree-4 surface: the former loop took
+    |m| / 4 steps, months at this m."""
+    ctx = rank_one_context(2)
+    m = -999999999999999
+    v, u = mk(ctx, 2, (m,), m * m), mk(ctx, 1, (0,), (1 - m * m) // 2)
+    start = time.perf_counter()
+    word, v2, u2 = normalize_mukai_vector(ctx, v, u)
+    assert time.perf_counter() - start < 5
+    # the tensor by r k h with k = (1 - m) / 4 leaves m + r^2 k = 1
+    assert [action_to_obj(a) for a in word] == [{"kind": "tensor", "b": [2 * (1 - m) // 4]}]
+    assert (v2.r, v2.d, v2.s) == (2, (1,), 1)
+    assert mukai_pairing(u2, v2) == -1
 
 
 def test_mirror_period_basics():
