@@ -22,6 +22,7 @@ from ._frozen import Frozen
 from .linalg import (
     Mat,
     Vec,
+    _as_ints,
     _bareiss,
     _numerators,
     block_diag,
@@ -68,8 +69,7 @@ class IntLattice(Frozen):
             raise ValueError("Gram matrix must be square")
         if n and not is_integral(g):
             raise ValueError("Gram matrix must be integral")
-        if any(type(x) is not int for row in g for x in row):
-            g = tuple(tuple(map(int, row)) for row in g)
+        g = _as_ints(g)
         object.__setattr__(self, "gram", g)
         if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
             raise ValueError("Gram matrix must be symmetric")
@@ -97,17 +97,22 @@ class IntLattice(Frozen):
 
 
 class Isometry(Frozen):
-    """An integer matrix M acting on coordinate columns with M^T G M = G, checked once."""
+    """An integer matrix M acting on coordinate columns with M^T G M = G, checked once.
+
+    The constructor checks a matrix from outside the library and stores
+    integral entries of another type (2.0, Fraction(2)) as ints; derived
+    isometries are built by ``_known`` without a second check."""
 
     __slots__ = ("lattice", "matrix")
 
     def __post_init__(self):
         m = freeze_mat(self.matrix)
-        object.__setattr__(self, "matrix", m)
         if len(m) != self.lattice.rank or any(len(row) != len(m) for row in m):
             raise ValueError("matrix size does not match lattice rank")
         if not is_integral(m):
             raise ValueError("isometry matrix must be integral")
+        m = _as_ints(m)
+        object.__setattr__(self, "matrix", m)
         if not is_isometry(self.lattice, m):
             raise ValueError("matrix does not preserve the Gram form")
 
@@ -272,6 +277,14 @@ def signature_of_gram(gram: Mat) -> tuple[int, int]:
     return (p, len(gram) - p)
 
 
+@lru_cache(maxsize=128)
+def _positive_rows(gram: Mat) -> Mat:
+    """The rows t_k with d_k > 0 of the diagonalization of G, scaled to
+    integers: a basis of a maximal positive-definite subspace, () when G is
+    negative definite.  It depends on G alone, so it is computed once per Gram."""
+    return _numerators(tuple(t for d, t in _diagonal(gram) if d > 0))[0]
+
+
 def signature(lat: IntLattice) -> tuple[int, int]:
     return signature_of_gram(lat.gram)
 
@@ -296,11 +309,10 @@ def orientation_sign_positive(lat: IntLattice, g: Isometry) -> int:
     det(A)^2.
     """
     Isometry._require(lat, g)
-    rows = tuple(t for d, t in _diagonal(lat.gram) if d > 0)
-    if not rows:
+    basis = _positive_rows(lat.gram)
+    if not basis:
         raise ValueError(f"{lat.label or lat.gram!r} is negative definite: "
                          "it has no positive plane to orient")
-    basis, _ = _numerators(rows)
     # the projection coordinates are gp^-1 rhs, gp the positive-definite Gram of the
     # basis, so their det has the sign of det(rhs), not 0 as g keeps positive planes positive
     rhs = mat_mul(mat_mul(basis, lat.gram), mat_mul(g.matrix, transpose(basis)))

@@ -48,6 +48,14 @@ def congruent(g: Mat, m: Mat) -> Mat:
     return mat_mul(transpose(m), mat_mul(g, m))
 
 
+def _as_ints(m: Mat) -> Mat:
+    """The integral matrix m with int entries: m itself when they are ints
+    already, else fresh int rows (2.0 and Fraction(2) become 2)."""
+    if all(type(x) is int for row in m for x in row):
+        return m
+    return tuple(tuple(map(int, row)) for row in m)
+
+
 def _numerators(m: Mat) -> tuple[Mat, int]:
     """(N, d) with d the least common denominator of the entries of m (ints
     or Fractions) and N = d m the integer numerator matrix."""

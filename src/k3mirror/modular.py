@@ -23,7 +23,7 @@ from .discriminant import (
     induced_disc_action,
 )
 from .lattices import IntLattice, Isometry, make_standard, orientation_sign_positive
-from .linalg import Mat, _numerators, congruent, det, freeze_mat, mat_mul
+from .linalg import Mat, _as_ints, _numerators, congruent, det, freeze_mat, is_integral, mat_mul
 
 
 # the largest degree fm_partner_count accepts; trial division takes up to
@@ -46,6 +46,10 @@ class FracLinear(Frozen):
     Gamma_0(n)+ of squarefree level the reduced scale is squarefree; Fricke
     representatives (0,-1; n,0)/sqrt(n) at non-squarefree n keep the square
     part that cannot be divided out of the matrix.
+
+    The constructor takes a matrix from outside the library and checks its
+    shape, a positive scale and ad - bc = scale.  A product is known to
+    satisfy them (det is multiplicative), so it is only normalised.
     """
 
     __slots__ = ("m", "scale")
@@ -60,9 +64,12 @@ class FracLinear(Frozen):
         (a, b), (c, d) = m
         if a * d - b * c != self.scale:
             raise ValueError("determinant must equal the scale")
+        self._normalise(m, self.scale)
+
+    def _normalise(self, m: Mat, scale: int) -> None:
+        """Store m / sqrt(scale), with det(m) = scale, in the normal form."""
         # pull the largest usable square factor of the scale into the matrix:
         # a common divisor g of the entries has g^2 | det(m) = scale
-        scale = self.scale
         g = gcd(*m[0], *m[1])
         if g > 1:
             m = tuple(tuple(x // g for x in row) for row in m)
@@ -74,7 +81,12 @@ class FracLinear(Frozen):
         object.__setattr__(self, "scale", scale)
 
     def __matmul__(self, other: "FracLinear") -> "FracLinear":
-        return FracLinear(mat_mul(self.m, other.m), self.scale * other.scale)
+        (a, b), (c, d) = self.m
+        (e, f), (g, h) = other.m
+        prod = object.__new__(FracLinear)
+        prod._normalise(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)),
+                        self.scale * other.scale)
+        return prod
 
     @classmethod
     def identity(cls) -> "FracLinear":
@@ -117,33 +129,55 @@ class SOMatrix(Frozen):
 
     Stored as m = num / den with ``num`` an integer matrix and ``den`` the
     least positive common denominator, so equal matrices have equal fields.
-    The constructor takes ``num`` with int or Fraction entries
-    (``SOMatrix(lattice, m)`` for a matrix m) and normalises it.  It checks m^T G m = G in integers,
-    as num^T G num = den^2 G; on the nondegenerate G that forces det m = +-1.
     ``matrix`` reads m back as Fractions.
+
+    The constructor is for a matrix from outside the library.  It takes
+    ``num`` with int or Fraction entries (``SOMatrix(lattice, m)`` for a
+    matrix m); an integral matrix with entries of another type (2.0) is read
+    as ints, and any other entry is refused.  It normalises the matrix and
+    checks m^T G m = G in integers, as num^T G num = den^2 G; on the
+    nondegenerate G that forces det m = +-1.  R-images, products, negations
+    and F_map images preserve the form by construction, so ``_known`` builds
+    them and only normalises.
     """
 
     __slots__ = ("lattice", "num", "den")
     _defaults = {"den": 1}
 
     def __post_init__(self):
-        num, den = self.num, self.den
+        num, den = freeze_mat(self.num), self.den
         gram = self.lattice.gram
         if len(gram) != 3 or len(num) != 3 or any(len(row) != 3 for row in num):
             raise ValueError("need a 3x3 matrix on a rank-3 lattice")
         if den < 1:
             raise ValueError("denominator must be positive")
+        if not all(isinstance(x, (int, Fraction)) for row in num for x in row):
+            if not is_integral(num):
+                raise ValueError("entries must be ints or Fractions, or all integral")
+            num = _as_ints(num)
         num, d = _numerators(num)
-        den *= d
+        self._normalise(num, den * d)
+        d2 = self.den ** 2
+        if congruent(gram, self.num) != tuple(tuple(d2 * x for x in row) for row in gram):
+            raise ValueError("matrix does not preserve the form")
+
+    @classmethod
+    def _known(cls, lattice: IntLattice, num: Mat, den: int = 1) -> "SOMatrix":
+        """num / den, an integer matrix over a positive denominator that
+        preserves the form of the lattice by construction."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "lattice", lattice)
+        m._normalise(num, den)
+        return m
+
+    def _normalise(self, num: Mat, den: int) -> None:
+        """Store num / den, num an integer matrix, over the least positive denominator."""
         g = gcd(den, *num[0], *num[1], *num[2])
         if g > 1:
             num = tuple(tuple(x // g for x in row) for row in num)
             den //= g
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        d2 = den * den
-        if congruent(gram, num) != tuple(tuple(d2 * x for x in row) for row in gram):
-            raise ValueError("matrix does not preserve the form")
 
     @property
     def matrix(self) -> Mat:
@@ -157,11 +191,11 @@ class SOMatrix(Frozen):
     def __matmul__(self, other: "SOMatrix") -> "SOMatrix":
         if other.lattice != self.lattice:
             raise ValueError("matrices live on different lattices")
-        return SOMatrix(self.lattice, mat_mul(self.num, other.num), self.den * other.den)
+        return SOMatrix._known(self.lattice, mat_mul(self.num, other.num), self.den * other.den)
 
     def __neg__(self) -> "SOMatrix":
-        return SOMatrix(self.lattice, tuple(tuple(-x for x in row) for row in self.num),
-                        self.den)
+        return SOMatrix._known(self.lattice, tuple(tuple(-x for x in row) for row in self.num),
+                               self.den)
 
     def is_integral(self) -> bool:
         return self.den == 1
@@ -179,22 +213,23 @@ def R_map(g: FracLinear, n: int) -> SOMatrix:
         (a b; c d) -> (a^2, 2ac, c^2/n; ab, ad+bc, cd/n; n b^2, 2n b d, d^2)
 
     Exact because every entry is bilinear in matrix entries divided by the
-    scale; the image is one integer matrix over n * scale.
-    R is an anti-homomorphism: R(g h) = R(h) R(g).  Its image has
-    determinant +1.
+    scale; the image is one integer matrix over n * scale.  It preserves the
+    form identically once ad - bc = scale, which FracLinear has checked, so
+    it is built without a second check.  R is an anti-homomorphism:
+    R(g h) = R(h) R(g).  Its image has determinant +1.
     """
     (a, b), (c, d) = g.m
     q = n * g.scale
     num = ((n * a * a, 2 * n * a * c, c * c),
            (n * a * b, n * (a * d + b * c), c * d),
            (n * n * b * b, 2 * n * n * b * d, n * d * d))
-    return SOMatrix(u_plus_mn(n), num, q)
+    return SOMatrix._known(u_plus_mn(n), num, q)
 
 
 def F_map(g: Isometry) -> SOMatrix:
     """det(g) * g, landing in SO; its kernel as a group map is {+-id}."""
     s = g.determinant
-    return SOMatrix(g.lattice, tuple(tuple(s * x for x in row) for row in g.matrix))
+    return SOMatrix._known(g.lattice, tuple(tuple(s * x for x in row) for row in g.matrix))
 
 
 # Exact integer monodromy matrices for the degree-12 family, basis (e, v, f).

@@ -189,6 +189,16 @@ def test_isometry_constructor_rejects_non_isometry():
         Isometry(U6, ((1, 0, 0), (0, 2, 0), (0, 0, 1)))
 
 
+def test_isometry_stores_integral_entries_of_another_type_as_ints():
+    g = Isometry(U6, ((1.0, 0, 0), (0, -1.0, 0), (0, 0, Fraction(1))))
+    assert g.matrix == ((1, 0, 0), (0, -1, 0), (0, 0, 1))
+    assert all(type(x) is int for row in g.matrix for x in row)
+    assert g.determinant == -1
+    assert g == Isometry(U6, ((1, 0, 0), (0, -1, 0), (0, 0, 1)))
+    with pytest.raises(ValueError, match="must be integral"):
+        Isometry(U6, ((0.5, 0, 0), (0, 1, 0), (0, 0, 2)))
+
+
 def test_isometry_constructor_rejects_a_ragged_matrix():
     for rows in (((1, 0, 0), (0, 1, 0), (0, 0, 1, 7)), ((1, 0, 0), (0, 1), (0, 0, 1))):
         with pytest.raises(ValueError, match="size does not match"):
@@ -221,6 +231,14 @@ def test_non_integral_gram_rejected():
     assert lat.gram == ((2, 1), (1, -2))
     assert all(type(x) is int for row in lat.gram for x in row)
     assert IntLattice.__slots__ == ("gram", "label")
+
+
+def test_positive_rows_are_computed_once_per_gram():
+    lattices._positive_rows.cache_clear()
+    signs = [orientation_sign_positive(U6, g) for g in GENS.values()]
+    assert signs == [1, 1, 1]
+    info = lattices._positive_rows.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 2, 128)
 
 
 def test_orientation_on_rank24_positive_four_space():

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from conftest import n_side_isometries
 from hypothesis import assume, given, settings, strategies as st
 from sympy import primefactors
 
@@ -188,16 +189,68 @@ def test_index_equals_partner_count_desk_scale():
         assert monodromy_index(n) == fm_partner_count(2 * n)
 
 
+def _letters(n):
+    """T, (1,-1;0,1), (1,0;1,1) and fricke(n); at n = 6 also the generators
+    of Gamma_0(6)+, the Atkin-Lehner (3,1;6,3)/sqrt(3) among them."""
+    letters = [translation(), FracLinear(((1, -1), (0, 1))), FracLinear(((1, 0), (1, 1))),
+               fricke(n)]
+    return letters + list(gamma0_plus_generators(6, "plus")) if n == 6 else letters
+
+
+def _frac_word(rng, letters, longest=3):
+    g = rng.choice(letters)
+    for _ in range(rng.randint(0, longest)):
+        g = g @ rng.choice(letters)
+    return g
+
+
 def test_r_is_antihomomorphism(rng):
-    gens = list(gamma0_plus_generators(6, "plus"))
-    for _ in range(1000):
-        g = rng.choice(gens)
-        h = rng.choice(gens)
-        for _ in range(rng.randint(0, 3)):
-            h = h @ rng.choice(gens)
-        lhs = R_map(g @ h, 6).matrix
-        rhs = mat_mul(R_map(h, 6).matrix, R_map(g, 6).matrix)
-        assert lhs == rhs
+    for n in (1, 2, 5, 6, 30, 60):
+        letters = _letters(n)
+        for _ in range(1000):
+            g = rng.choice(letters)
+            h = _frac_word(rng, letters)
+            lhs = R_map(g @ h, n).matrix
+            rhs = mat_mul(R_map(h, n).matrix, R_map(g, n).matrix)
+            assert lhs == rhs, (n, g, h)
+
+
+def test_derived_values_pass_the_validating_constructor(rng):
+    """R-images, their products and negations, F_map images and FracLinear
+    products are built without a check; each equals what the validating
+    constructor makes of the same matrix."""
+    for n in range(1, 61):
+        letters = _letters(n)
+        lat, isometries = u_plus_mn(n), n_side_isometries(n)[1]
+        for _ in range(12):
+            g, h = _frac_word(rng, letters), _frac_word(rng, letters)
+            gh = g @ h
+            assert FracLinear(gh.m, gh.scale) == gh
+            assert FracLinear(mat_mul(g.m, h.m), g.scale * h.scale) == gh
+            rg, rh = R_map(g, n), R_map(h, n)
+            for m in (rg, rh @ rg, -rg, R_map(gh, n)):
+                assert m.lattice == lat
+                assert SOMatrix(m.lattice, m.num, m.den) == m
+                assert SOMatrix(m.lattice, m.matrix) == m
+            iso = rng.choice(isometries)
+            for _ in range(rng.randint(0, 3)):
+                iso = iso @ rng.choice(isometries)
+            f = F_map(iso)
+            assert SOMatrix(lat, iso.matrix) == (f if iso.determinant == 1 else -f)
+            assert SOMatrix(f.lattice, f.matrix) == f
+
+
+def test_derived_values_are_not_validated_again(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} validated a value known by construction")
+    t, w = translation(), fricke(6)   # the letters come from outside: checked once
+    monkeypatch.setattr(FracLinear, "__post_init__", refuse)
+    monkeypatch.setattr(SOMatrix, "__post_init__", refuse)
+    assert (w @ t @ w).m == ((1, 0), (-6, 1))
+    rt, rw = R_map(t, 6), R_map(w, 6)
+    assert (rt @ rw).matrix == ((0, 0, 1), (0, -1, 1), (1, -12, 6))
+    assert (-rw).matrix == S1BAR
+    assert F_map(GENS["S1"]) == rw
 
 
 def test_r_image_preserves_form_with_unit_positive_det(rng):
@@ -242,6 +295,18 @@ def test_so_matrix_rejects_bad_input():
             SOMatrix(U6, identity(3), den)
     # an explicit denominator is normalised away with the numerators
     assert SOMatrix(U6, ((2, 0, 0), (0, 2, 0), (0, 0, 2)), 2) == SOMatrix(U6, identity(3))
+
+
+def test_so_matrix_reads_integral_entries_of_another_type_as_ints():
+    floats = ((1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0))
+    m = SOMatrix(U6, floats)
+    assert m == SOMatrix(U6, identity(3)) and m.determinant == 1
+    assert all(type(x) is int for row in m.num for x in row)
+    assert SOMatrix(U6, ((Fraction(2), 0, 0), (0, 2.0, 0), (0, 0, 2)), 2) == m
+    for rows in (((0.5, 0, 0), (0, 1, 0), (0, 0, 2)),
+                 ((1.0, 0, 0), (0, 1, 0), (0, 0, Fraction(1, 2)))):
+        with pytest.raises(ValueError, match="must be ints or Fractions, or all integral"):
+            SOMatrix(U6, rows)
 
 
 def test_so_matrix_product_needs_one_lattice():
