@@ -122,7 +122,9 @@ def inverse(a: Mat) -> Mat:
 def is_integral(a) -> bool:
     if isinstance(a[0], tuple):
         return all(is_integral(row) for row in a)
-    return all(isinstance(x, int) or Fraction(x).denominator == 1 for x in a)
+    # float.is_integer is False for inf and nan, which Fraction cannot convert
+    return all(isinstance(x, int) or (x.is_integer() if isinstance(x, float)
+                                      else Fraction(x).denominator == 1) for x in a)
 
 
 # -- Smith normal form over Z ---------------------------------------------------

@@ -229,11 +229,15 @@ def _schwarzian_of(dt: RationalSeries) -> RationalSeries:
     return w.theta() - w * w * Fraction(1, 2) + Fraction(1, 2)
 
 
-def _compare(lhs: RationalSeries, want, order: int) -> SeriesCheck:
-    """lhs against the exact coefficients want[0 .. order]."""
-    for k in range(order + 1):
-        if lhs.coeff(k) != want[k]:
-            return SeriesCheck(False, order, (k, str(lhs.coeff(k)), str(want[k])))
+def _compare(lhs: RationalSeries, nums, den: int, order: int) -> SeriesCheck:
+    """lhs against the exact coefficients nums[k] / den, k = 0 .. order.  Each
+    int numerator of lhs is compared with nums[k] by cross-multiplication;
+    Fractions are built only to report the first mismatch."""
+    lhs.coeff(order)   # refuses an order past the truncation of lhs
+    for k, x in enumerate(lhs._nums_from(0, order)):
+        if x * den != nums[k] * lhs.den:
+            got, want = Fraction(x, lhs.den), Fraction(nums[k], den)
+            return SeriesCheck(False, order, (k, str(got), str(want)))
     return SeriesCheck(True, order)
 
 
@@ -244,7 +248,7 @@ def schwarzian_check(order: int) -> SeriesCheck:
         raise ValueError("order must be at least 8")
     s = _schwarzian_of(_theta_t(order))
     disc = poly((1, -40, 144), top=order)     # (1 - 36x)(1 - 4x)
-    return _compare(s * disc * disc * 2, poly(_SCHWARZIAN_NUMERATOR, top=order).coeffs, order)
+    return _compare(s * disc * disc * 2, _SCHWARZIAN_NUMERATOR + (0,) * (order - 4), 1, order)
 
 
 def _standard_chart(s: RationalSeries, top: int) -> RationalSeries:
@@ -258,25 +262,51 @@ def _standard_chart(s: RationalSeries, top: int) -> RationalSeries:
          for m in range(top + 1)], s.den * 12 ** top * 4 ** top)
 
 
+def _standard_rhs(order: int) -> tuple[list[int], int]:
+    """The coefficients of z^0 .. z^order of
+    z^2 sum_i [c_i/(z-a_i)^2 + beta_i/(z-a_i)], c_i = (1-alpha_i^2)/2, with the
+    points a_i, the exponents alpha_i and the accessory parameters beta_i read
+    from _STANDARD_POINTS, _STANDARD_ALPHA and _STANDARD_BETA.  They are int
+    numerators over D = m A^order, where A is the lcm of the nonzero points and
+    m the lcm of the denominators of the c_i and beta_i.
+
+    A point 0 adds c to z^0 and beta to z^1.  A point a != 0 adds
+    c (j-1)/a^j - beta/a^(j-1) to z^j for j >= 2; with r = A/a, so that
+    1/a^j = r^j / A^j, its numerator over D is
+    r^(j-1) A^(order-j) (m c (j-1) r - m beta A)."""
+    consts = [(Fraction(1 - alpha * alpha, 2), Fraction(beta))
+              for alpha, beta in zip(_STANDARD_ALPHA, _STANDARD_BETA)]
+    m = lcm(*(x.denominator for pair in consts for x in pair))
+    big_a = lcm(*(a for a in _STANDARD_POINTS if a))
+    a_pow = [big_a ** e for e in range(order + 1)]
+    nums = [0] * (order + 1)
+    for a, (c, beta) in zip(_STANDARD_POINTS, consts):
+        mc, mbeta = int(m * c), int(m * beta)
+        if not a:
+            nums[0] += mc * a_pow[order]
+            nums[1] += mbeta * a_pow[order]
+            continue
+        r, r_pow = big_a // a, 1
+        for j in range(2, order + 1):
+            r_pow *= r
+            nums[j] += r_pow * a_pow[order - j] * (mc * (j - 1) * r - mbeta * big_a)
+    return nums, m * a_pow[order]
+
+
 def standard_form_check(order: int) -> SeriesCheck:
     """Expand {t,z} around z = 0 in the chart z = 48x/(12x+1) and compare with
     sum_i [ (1/2)(1-alpha_i^2)/(z-a_i)^2 + beta_i/(z-a_i) ] for the points
     (0,1,3,4); the chart change is a Mobius map, so {z,x} contributes zero to
-    the Schwarzian cocycle."""
+    the Schwarzian cocycle.  The right-hand side is read from the singular-point
+    data _STANDARD_POINTS, _STANDARD_ALPHA and _STANDARD_BETA as int numerators
+    over one denominator D = m A^order (``_standard_rhs``: A is the lcm of the
+    nonzero points, m that of the denominators of the constants), and
+    z^2 {t,z} is compared with it by cross-multiplication."""
     if order < 8:
         raise ValueError("order must be at least 8")
     # z^2 {t,z} = (z/x)^2 (dx/dz)^2 x^2 {t,x}, and (z/x)(dx/dz) = 1/(1 - z/4)
     lhs = _standard_chart(_schwarzian_of(_theta_t(order)), order)
-    rhs = [Fraction(0)] * (order + 1)
-    rhs[0] += Fraction(1, 2) * (1 - _STANDARD_ALPHA[0] ** 2)
-    rhs[1] += _STANDARD_BETA[0]
-    for i in (1, 2, 3):
-        ai = _STANDARD_POINTS[i]
-        c2 = Fraction(1, 2) * (1 - _STANDARD_ALPHA[i] ** 2)
-        for k in range(order - 1):
-            rhs[k + 2] += c2 * Fraction(k + 1, ai ** (k + 2))
-            rhs[k + 2] -= _STANDARD_BETA[i] * Fraction(1, ai ** (k + 1))
-    return _compare(lhs, rhs, order)
+    return _compare(lhs, *_standard_rhs(order), order)
 
 
 # -- theta form to d/dx form ---------------------------------------------------

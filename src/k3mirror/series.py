@@ -112,8 +112,16 @@ class RationalSeries:
         return f"RationalSeries(lead={self.lead}, [{head}{', ...' if len(self.nums) > 6 else ''}])"
 
     def eq_through(self, other: "RationalSeries", top: int) -> bool:
-        return all(self.coeff(k) == other.coeff(k)
-                   for k in range(min(self.lead, other.lead), top + 1))
+        """Whether the coefficients agree through x^top, compared by
+        cross-multiplying the numerators (zeros below lead); a top past the
+        truncation of either series raises once the known ones agree."""
+        lo, hi = min(self.lead, other.lead), min(top, self.top, other.top)
+        if any(x * other.den != y * self.den
+               for x, y in zip(self._nums_from(lo, hi), other._nums_from(lo, hi))):
+            return False
+        if hi < top:
+            self.coeff(hi + 1), other.coeff(hi + 1)   # raises past the truncation
+        return True
 
     # -- ring operations --------------------------------------------------
 

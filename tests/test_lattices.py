@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -266,6 +267,17 @@ def test_root_reflection_is_involution():
     for other, v in ((lat, (1, 1, 0, 0, 0, 0, 0, 0)), (IntLattice(((-8,),)), (Fraction(1, 2),))):
         with pytest.raises(ValueError, match="integer vector of square -2"):
             root_reflection(other, v)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_floats_are_refused_with_each_constructors_message(bad):
+    # Fraction cannot convert them, so is_integral answers False instead
+    with pytest.raises(ValueError, match="^Gram matrix must be integral$"):
+        IntLattice(((bad,),))
+    with pytest.raises(ValueError, match="^isometry matrix must be integral$"):
+        Isometry(U6, ((bad, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(ValueError, match="^reflection requires an integer vector of square -2$"):
+        root_reflection(make_standard("E8minus"), (bad, 0, 0, 0, 0, 0, 0, 0))
 
 
 def test_hyperbolic_extension_matches_u_plus_mn():

@@ -22,6 +22,7 @@ from k3mirror.linalg import (
     det,
     freeze_mat,
     identity,
+    is_integral,
     mat_mul,
     mat_vec,
     smith_normal_decomp,
@@ -206,3 +207,11 @@ def test_det_matches_elimination_over_fraction():
         assert got == expected and type(got) is type(expected)
     for gram in standard_grams():
         assert det(gram) == fraction_det(gram)
+
+
+def test_is_integral_answers_false_on_non_finite_floats():
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        assert not is_integral((1, bad))
+        assert not is_integral(((1, 0), (0, bad)))
+    assert is_integral((2.0, -0.0, Fraction(4, 2), 3))
+    assert not is_integral((2, 0.5))

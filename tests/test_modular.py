@@ -309,6 +309,12 @@ def test_so_matrix_reads_integral_entries_of_another_type_as_ints():
             SOMatrix(U6, rows)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_so_matrix_refuses_non_finite_floats(bad):
+    with pytest.raises(ValueError, match="^entries must be ints or Fractions, or all integral$"):
+        SOMatrix(U6, ((bad, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
 def test_so_matrix_product_needs_one_lattice():
     one = FracLinear.identity()
     with pytest.raises(ValueError, match="different lattices"):

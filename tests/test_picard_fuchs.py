@@ -17,12 +17,14 @@ from k3mirror.picard_fuchs import (
     ThetaOperator,
     _compare,
     _IDENTITY,
+    _STANDARD_BETA,
     _STANDARD_POINTS,
     _frobenius_initial_matrix,
     _log_shift,
     _loop_legs,
     _schwarzian_of,
     _standard_chart,
+    _standard_rhs,
     _taylor_step,
     _theta_t,
     _transport,
@@ -443,10 +445,56 @@ def test_schwarzian_checks_pass_at_every_order_through_80():
         assert standard_form_check(order) == SeriesCheck(True, order), order
 
 
+def _standard_rhs_by_fractions(order):
+    """The former right-hand side of standard_form_check, one Fraction
+    operation at a time, on the singular-point data the module holds now."""
+    points = picard_fuchs._STANDARD_POINTS
+    alpha, beta = picard_fuchs._STANDARD_ALPHA, picard_fuchs._STANDARD_BETA
+    rhs = [Fraction(0)] * (order + 1)
+    rhs[0] += Fraction(1, 2) * (1 - alpha[0] ** 2)
+    rhs[1] += beta[0]
+    for i in (1, 2, 3):
+        ai = points[i]
+        c2 = Fraction(1, 2) * (1 - alpha[i] ** 2)
+        for k in range(order - 1):
+            rhs[k + 2] += c2 * Fraction(k + 1, ai ** (k + 2))
+            rhs[k + 2] -= beta[i] * Fraction(1, ai ** (k + 1))
+    return rhs
+
+
+def test_standard_rhs_matches_former_fraction_loop():
+    for order in range(8, 201):
+        nums, den = _standard_rhs(order)
+        assert len(nums) == order + 1 and den > 0, order
+        assert [Fraction(x, den) for x in nums] == _standard_rhs_by_fractions(order), order
+
+
+def _replaced(values, i, new):
+    return values[:i] + (new,) + values[i + 1:]
+
+
+@pytest.mark.parametrize("name, i, new", [
+    *[("_STANDARD_ALPHA", i, Fraction(1, 3)) for i in (1, 2, 3)],
+    *[("_STANDARD_BETA", i, _STANDARD_BETA[i] + Fraction(1, 7)) for i in range(4)],
+    # the denominator is read from the data: 48 // 47 = 1 would hide this one
+    ("_STANDARD_BETA", 2, Fraction(1, 47)),
+    ("_STANDARD_POINTS", 1, 2),
+    ("_STANDARD_POINTS", 2, 5),
+    ("_STANDARD_POINTS", 3, 6),
+])
+def test_standard_form_fails_on_changed_data(monkeypatch, name, i, new):
+    assert standard_form_check(20).ok
+    monkeypatch.setattr(picard_fuchs, name, _replaced(getattr(picard_fuchs, name), i, new))
+    nums, den = _standard_rhs(20)
+    assert [Fraction(x, den) for x in nums] == _standard_rhs_by_fractions(20)
+    chk = standard_form_check(20)
+    assert not chk.ok and chk.first_mismatch is not None
+
+
 def test_compare_reports_first_mismatch():
     lhs = poly((1, Fraction(1, 2), 3, 5))
-    assert _compare(lhs, (1, Fraction(1, 2), 3), 2) == SeriesCheck(True, 2)
-    assert _compare(lhs, (1, 0, 4, 5), 3) == SeriesCheck(False, 3, (1, "1/2", "0"))
+    assert _compare(lhs, (2, 1, 6), 2, 2) == SeriesCheck(True, 2)
+    assert _compare(lhs, (1, 0, 4, 5), 1, 3) == SeriesCheck(False, 3, (1, "1/2", "0"))
 
 
 def test_largest_float_order_is_finite():

@@ -395,6 +395,29 @@ def test_revert_matches_fraction_reference(f):
     _both(f.revert, _FractionSeries(f.coeffs, f.lead).revert)
 
 
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(series_args, series_args, st.lists(fractions_with_zeros, max_size=3),
+       st.integers(min_value=-3, max_value=11))
+def test_eq_through_matches_coefficient_comparison(xa, xb, tail, top):
+    # the former route compared one Fraction pair per power and raised, through
+    # coeff, at the first power past either truncation
+    (coeffs, lead), (b, _) = xa, _pair(xb)
+    a = RationalSeries(coeffs, lead)
+    # the same values on a longer window, stored over another denominator
+    longer = RationalSeries([Fraction(c) for c in coeffs] + tail + [Fraction(1, 7)], lead)
+    for x, y in ((a, b), (b, a), (a, longer), (longer, a), (a, a * 1)):
+        want = _outcome(lambda: all(x.coeff(k) == y.coeff(k)
+                                    for k in range(min(x.lead, y.lead), top + 1)))
+        assert _outcome(lambda: x.eq_through(y, top)) == want
+
+
 def test_single_coefficient_and_zero_series():
     one = RationalSeries([Fraction(-3, 4)], 2)
     assert (one.lead, one.top, one.nums, one.den) == (2, 2, (-3,), 4)
