@@ -136,6 +136,11 @@ def _cmd_verify_glue(args) -> tuple[str, object]:
     return "fail", _fail("verify-glue", {"n": n}, expected, results)
 
 
+def _series_fail(args, check) -> dict:
+    k, got, want = check.first_mismatch
+    return _fail(f"pf {args.pf_op}", {"order": args.order, "power": k}, want, got)
+
+
 def _cmd_pf(args) -> tuple[str, object]:
     from . import picard_fuchs
     if args.pf_op == "series":
@@ -152,11 +157,12 @@ def _cmd_pf(args) -> tuple[str, object]:
                  else picard_fuchs.standard_form_check)(args.order)
         if check.ok:
             return "pass", {"order": check.order}
-        k, got, want = check.first_mismatch
-        return "fail", _fail(f"pf {args.pf_op}", {"order": args.order, "power": k},
-                             want, got)
+        return "fail", _series_fail(args, check)
     if args.pf_op == "mirror-map":
         mm = picard_fuchs.mirror_map(args.order)
+        check = picard_fuchs._mirror_map_check(mm.x_of_q, args.order)
+        if not check.ok:
+            return "fail", _series_fail(args, check)
         coeffs = [mm.x_of_q.coeff(k) for k in range(args.order + 1)]
         return "value", {
             "x_of_q": [str(c) for c in coeffs],

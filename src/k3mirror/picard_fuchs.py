@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm
-from operator import add
+from operator import add, mul
 
 from ._frozen import Frozen
 from .series import LogSeries, RationalSeries, _push, poly
@@ -118,6 +118,9 @@ def pi_series_by_recurrence(order: int) -> RationalSeries:
 # through the highest order asked so far in this process.  They are extended
 # in place, never beyond MAX_ORDER, and handed out as prefixes.
 _LAYERS = [[[1], 1], [[0], 1], [[0], 1]]
+# g1/Pi through the highest order asked so far, handed out the same way; it is
+# replaced whole, so an interrupted extension leaves it intact
+_SHIFT = RationalSeries._from_ints([0])
 
 
 def _frobenius_layers(order: int, count: int = 3) -> list[RationalSeries]:
@@ -185,17 +188,46 @@ class MirrorMap(Frozen):
 
 def _log_shift(order: int) -> RationalSeries:
     """g1/Pi through x^order, so that log x + g1/Pi is 2 pi i t."""
-    pi, g1 = _frobenius_layers(order, 2)
-    return g1 / pi
+    global _SHIFT
+    _check_order(order)
+    shift = _SHIFT
+    if shift.top < order:
+        pi, g1 = _frobenius_layers(order, 2)
+        shift = _SHIFT = g1 / pi
+    return shift.truncate(order)
+
+
+def _eta_quotient(top: int, sign: int) -> list[int]:
+    """The coefficients of q^0 .. q^top of P^sign, P = (E(q^2) E(q^6) /
+    (E(q) E(q^3)))^6 and E(q) = prod_m (1 - q^m).  A product
+    F = prod_m (1 - q^m)^(c_m) has q F'/F = sum_n b_n q^n with
+    b_n = -sum_(d | n) d c_d, so n f_n = sum_(k=1..n) b_k f_(n-k)."""
+    # P = prod over odd m of (1 - q^m)^-6 (1 - q^(3m))^-6, so c_m is 0 for
+    # even m and -6 (1 + [3 | m]) for odd m
+    b = [0] * (top + 1)
+    for d in range(1, top + 1, 2):
+        for n in range(d, top + 1, d):
+            b[n] += 6 * sign * d * (1 + (d % 3 == 0))
+    f = [1]
+    for n in range(1, top + 1):
+        f.append(sum(map(mul, b[1:n + 1], reversed(f))) // n)
+    return f
 
 
 def mirror_map(order: int) -> MirrorMap:
-    """Exact mirror map data through the given order; x_of_q = q + O(q^2)."""
+    """Exact mirror map data through the given order; x_of_q = q + O(q^2).
+
+    x(q) is a Hauptmodul of Gamma_0(6)+ (Lian-Yau, hep-th/9507151): with the
+    eta quotient s = q P of ``_eta_quotient``, x = s / (1 + 20 s + 64 s^2),
+    that is q / (1/P + 20 q + 64 q^2 P), through q^(order + 1)."""
     if order < 4:
         raise ValueError("order must be at least 4")
     h = _log_shift(order)
-    q_of_x = h.exp().shift(1)          # q = x exp(g1/Pi)
-    x_of_q = q_of_x.revert()
+    p, u = _eta_quotient(order, 1), _eta_quotient(order, -1)
+    u[1] += 20
+    for k in range(2, order + 1):
+        u[k] += 64 * p[k - 2]
+    x_of_q = RationalSeries._from_ints([1] + [0] * order, 1, 1) / RationalSeries._from_ints(u)
     return MirrorMap(log_shift=h, x_of_q=x_of_q)
 
 
@@ -249,6 +281,21 @@ def schwarzian_check(order: int) -> SeriesCheck:
     s = _schwarzian_of(_theta_t(order))
     disc = poly((1, -40, 144), top=order)     # (1 - 36x)(1 - 4x)
     return _compare(s * disc * disc * 2, _SCHWARZIAN_NUMERATOR + (0,) * (order - 4), 1, order)
+
+
+def _mirror_map_check(x: RationalSeries, order: int) -> SeriesCheck:
+    """The Schwarzian equation in q, a second route to x(q): with theta = q d/dq
+    and w = theta^2 x / theta x, x^2 {t, x} = -(theta w - w^2/2) (x / theta x)^2,
+    so 2 disc(x)^2 (theta w - w^2/2) + (theta x / x)^2 quartic(x) = 0 through
+    q^order, disc = 1 - 40x + 144x^2 and quartic = _SCHWARZIAN_NUMERATOR."""
+    dx = x.theta()
+    w, r = dx.theta() / dx, dx / x
+    disc = x * x * 144 - x * 40 + 1
+    quartic = x * 0
+    for c in reversed(_SCHWARZIAN_NUMERATOR):
+        quartic = quartic * x + c
+    lhs = disc * disc * (w.theta() - w * w * Fraction(1, 2)) * 2 + r * r * quartic
+    return _compare(lhs, (0,) * (order + 1), 1, order)
 
 
 def _standard_chart(s: RationalSeries, top: int) -> RationalSeries:

@@ -208,6 +208,8 @@ class RationalSeries:
         return RationalSeries._from_ints(self.nums, self.den, self.lead + k)
 
     # -- composition, exp, reversion --------------------------------------
+    # (no library route calls these; the tests and the benchmark checker
+    # keep them as oracles)
 
     def compose(self, inner: "RationalSeries") -> "RationalSeries":
         """Substitute a series of valuation >= 1 for the variable."""

@@ -87,6 +87,26 @@ def test_pf_series_and_schwarzian():
     assert code == 0 and result.payload["integral"] is True
 
 
+def test_pf_mirror_map_fails_on_a_planted_coefficient(monkeypatch):
+    from k3mirror import picard_fuchs
+    from k3mirror.series import RationalSeries
+    real = picard_fuchs.mirror_map
+
+    def planted(order):
+        mm = real(order)
+        nums = list(mm.x_of_q.nums)
+        nums[29] += 1                   # the coefficient of q^30
+        return picard_fuchs.MirrorMap(log_shift=mm.log_shift,
+                                      x_of_q=RationalSeries._from_ints(nums, 1, 1))
+
+    monkeypatch.setattr(picard_fuchs, "mirror_map", planted)
+    result, code = invoke("pf", "mirror-map", "--order", "40")
+    assert code == 1 and result.status == "fail"
+    assert result.payload["operation"] == "pf mirror-map"
+    assert result.payload["inputs"] == {"order": 40, "power": 29}
+    assert result.payload["expected"] == "0" and result.payload["got"] != "0"
+
+
 def test_pf_monodromy_payload():
     result, code = invoke("pf", "monodromy", "--point", "0")
     assert code == 0

@@ -22,6 +22,7 @@ from k3mirror.picard_fuchs import (
     _frobenius_initial_matrix,
     _log_shift,
     _loop_legs,
+    _mirror_map_check,
     _schwarzian_of,
     _standard_chart,
     _standard_rhs,
@@ -118,7 +119,7 @@ def test_dform_matches_theta_form():
 
 def test_mirror_map_matches_lagrange_inversion():
     """Independent oracle: [q^k] x(q) = (1/k) [x^(k-1)] (x/q(x))^k."""
-    order = 14
+    order = 40
     mm = mirror_map(order)
     q_of_x = mm.log_shift.exp().shift(1)
     ratio = (poly((0, 1), top=order) / q_of_x).strip()   # x/q(x), a unit power series
@@ -140,6 +141,99 @@ def test_mirror_map_expansion():
     q_of_x = mm.log_shift.exp().shift(1)
     round_trip = q_of_x.compose(x_of_q)
     assert round_trip.eq_through(poly((0, 1), top=30), 30)
+
+
+# -- the mirror map from the Gamma_0(6)+ eta product ------------------------------
+
+def _x_of_q_by_reversion(order):
+    """The former route: q(x) = x exp(g1/Pi), reverted by Lagrange inversion."""
+    return _log_shift(order).exp().shift(1).revert()
+
+
+@pytest.mark.parametrize("order", [*range(4, 61), 100, 200])
+def test_mirror_map_matches_former_reversion(order):
+    got, want = mirror_map(order).x_of_q, _x_of_q_by_reversion(order)
+    assert (got.lead, got.nums, got.den, got.top) == (want.lead, want.nums, want.den, want.top)
+
+
+def test_stored_log_shift_matches_fresh_division(monkeypatch):
+    fresh = {}
+    for n in range(4, 201):
+        pi, g1 = picard_fuchs._frobenius_layers(n, 2)
+        q = g1 / pi
+        fresh[n] = (q.lead, q.nums, q.den, q.top)
+    # descending, the first request fills the store; ascending, each one extends it
+    for orders in (range(200, 3, -1), range(4, 201)):
+        monkeypatch.setattr(picard_fuchs, "_SHIFT", RationalSeries._from_ints([0]))
+        for n in orders:
+            h = _log_shift(n)
+            assert (h.lead, h.nums, h.den, h.top) == fresh[n], n
+    assert picard_fuchs._SHIFT.top == 200
+
+
+def test_stored_log_shift_grows_only_on_a_higher_order(monkeypatch):
+    monkeypatch.setattr(picard_fuchs, "_SHIFT", RationalSeries._from_ints([0]))
+    _log_shift(30)
+    stored = picard_fuchs._SHIFT
+    _log_shift(12)
+    assert picard_fuchs._SHIFT is stored and stored.top == 30
+
+    def interrupted(order, count=3):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(picard_fuchs, "_frobenius_layers", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _log_shift(31)
+    assert picard_fuchs._SHIFT is stored
+
+
+def _eta_float(q, terms=200):
+    """E(q) = prod_(m >= 1) (1 - q^m) in complex floats."""
+    out = 1
+    for m in range(1, terms + 1):
+        out *= 1 - q ** m
+    return out
+
+
+def _x_by_eta_float(tau):
+    q = cmath.exp(2j * math.pi * tau)
+    e = [_eta_float(q ** k) for k in (1, 2, 3, 6)]
+    s = q * (e[1] * e[3] / (e[0] * e[2])) ** 6
+    return s / (1 + 20 * s + 64 * s * s)
+
+
+def test_x_at_the_fricke_fixed_point_is_one_over_36():
+    # tau = i/sqrt(6) is fixed by W_6, so s = 1/8 there and x = 1/36
+    q = math.exp(-2 * math.pi / math.sqrt(6))
+    x = mirror_map(100).x_of_q
+    assert abs(sum(float(c) * q ** k for k, c in zip(range(1, 102), x.coeffs)) - 1 / 36) < 1e-12
+    assert abs(_x_by_eta_float(1j / math.sqrt(6)) - 1 / 36) < 1e-12
+
+
+def test_x_at_the_elliptic_point_is_one_quarter():
+    # s = -1/8 at tau = 1/3 + i sqrt(2)/6, a double root of 1 + 20s + 64s^2 = 4s
+    tau = 1 / 3 + 1j * math.sqrt(2) / 6
+    assert abs(_x_by_eta_float(tau) - 1 / 4) < 1e-12
+    # the q-series of x does not converge there: its terms grow
+    q = cmath.exp(2j * math.pi * tau)
+    x = mirror_map(200).x_of_q
+    sizes = [abs(float(x.coeff(k)) * q ** k) for k in (50, 100, 150, 200)]
+    assert sizes == sorted(sizes) and sizes[0] > 1
+
+
+@pytest.mark.parametrize("order", [4, 8, 31, 60, 150])
+def test_mirror_map_check_passes(order):
+    assert _mirror_map_check(mirror_map(order).x_of_q, order) == SeriesCheck(True, order)
+
+
+def test_mirror_map_check_rejects_a_planted_coefficient():
+    x = mirror_map(60).x_of_q
+    nums = list(x.nums)
+    nums[29] += 1                       # the coefficient of q^30
+    chk = _mirror_map_check(RationalSeries._from_ints(nums, x.den, x.lead), 60)
+    assert not chk.ok and chk.first_mismatch[0] == 29
+    # a planted coefficient beyond the checked order goes unseen
+    assert _mirror_map_check(RationalSeries._from_ints(nums, x.den, x.lead), 28).ok
 
 
 def test_schwarzian_exact():
@@ -336,10 +430,12 @@ def test_layer_prefixes_survive_extension(monkeypatch):
 def test_layers_refuse_orders_above_max_order():
     frobenius_basis(40)
     before = [(len(nums), den) for nums, den in picard_fuchs._LAYERS]
+    stored = picard_fuchs._SHIFT
     for func in (frobenius_basis, pi_series_by_recurrence, _log_shift):
         with pytest.raises(ValueError, match="exceeds the maximum"):
             func(MAX_ORDER + 1)
     assert [(len(nums), den) for nums, den in picard_fuchs._LAYERS] == before
+    assert picard_fuchs._SHIFT is stored
 
 
 # -- the former hand-written copies of the operator, kept as references -------
