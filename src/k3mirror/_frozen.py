@@ -13,7 +13,8 @@ class Frozen:
 
     Construction takes the fields positionally or by keyword and then calls
     ``self.__post_init__()``, which may validate and normalise fields through
-    ``object.__setattr__``.  Equality and hash compare the field values of
+    ``object.__setattr__``; ``_known`` builds a value the library derived, valid
+    by construction, without that call.  Equality and hash compare the field values of
     instances of one class; the repr is ``Name(field=value, ...)``;
     assignment and deletion raise ``AttributeError``; pickle and copy rebuild
     an instance through its constructor.
@@ -29,6 +30,14 @@ class Frozen:
         for name, value in zip(fields, args):
             _set(self, name, value)
         self.__post_init__()
+
+    @classmethod
+    def _known(cls, *values):
+        """The instance with these stored field values, in slot order, unchecked."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            _set(obj, name, value)
+        return obj
 
     @classmethod
     def _bind(cls, args, kwargs):

@@ -146,11 +146,9 @@ def _cmd_pf(args) -> tuple[str, object]:
     if args.pf_op == "series":
         by_sum = picard_fuchs.pi_series(args.order)
         by_rec = picard_fuchs.pi_series_by_recurrence(args.order)
-        if not by_sum.eq_through(by_rec, args.order):
-            k = next(k for k in range(args.order + 1)
-                     if by_sum.coeff(k) != by_rec.coeff(k))
-            return "fail", _fail("pf series", {"order": args.order},
-                                 str(by_rec.coeff(k)), str(by_sum.coeff(k)))
+        check = picard_fuchs._compare(by_sum, by_rec.nums, by_rec.den, args.order)
+        if not check.ok:
+            return "fail", _series_fail(args, check)
         return "value", {"coefficients": [str(c) for c in by_sum.coeffs]}
     if args.pf_op in ("schwarzian", "standard-form"):
         check = (picard_fuchs.schwarzian_check if args.pf_op == "schwarzian"

@@ -116,14 +116,6 @@ class Isometry(Frozen):
         if not is_isometry(self.lattice, m):
             raise ValueError("matrix does not preserve the Gram form")
 
-    @classmethod
-    def _known(cls, lattice: IntLattice, matrix: Mat) -> "Isometry":
-        """An isometry whose integer row tuples preserve the form by construction."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "lattice", lattice)
-        object.__setattr__(g, "matrix", matrix)
-        return g
-
     @staticmethod
     def _require(lat: IntLattice, g: "Isometry") -> None:
         if not isinstance(g, Isometry) or g.lattice != lat:
@@ -169,19 +161,19 @@ def bilinear(lat: IntLattice, x: Vec, y: Vec):
 
 
 def direct_sum(l1: IntLattice, l2: IntLattice, label: str | None = None) -> IntLattice:
-    """Orthogonal direct sum, basis of l1 followed by basis of l2."""
+    """Orthogonal direct sum, basis of l1 then l2; valid as l1 and l2 are."""
     if label is None and l1.label and l2.label:
         label = f"{l1.label}+{l2.label}"
-    return IntLattice(block_diag(l1.gram, l2.gram), label=label)
+    return IntLattice._known(block_diag(l1.gram, l2.gram), label)
 
 
 def hyperbolic_extension(lat: IntLattice, label: str | None = None) -> IntLattice:
-    """U + lat with basis (e, lat basis..., f), <e,f> = -1 and e,f isotropic."""
+    """U + lat, basis (e, lat basis..., f), <e,f> = -1, e,f isotropic; valid as lat is."""
     n = lat.rank
-    rows = [(0,) + (0,) * n + (-1,)]
-    rows += [(0,) + tuple(lat.gram[i]) + (0,) for i in range(n)]
-    rows += [(-1,) + (0,) * n + (0,)]
-    return IntLattice(rows, label=label)
+    rows = [(0,) * (n + 1) + (-1,)]
+    rows += [(0,) + row + (0,) for row in lat.gram]
+    rows += [(-1,) + (0,) * (n + 1)]
+    return IntLattice._known(tuple(rows), label)
 
 
 def _e8_minus() -> IntLattice:

@@ -197,9 +197,6 @@ class SOMatrix(Frozen):
         return SOMatrix._known(self.lattice, tuple(tuple(-x for x in row) for row in self.num),
                                self.den)
 
-    def is_integral(self) -> bool:
-        return self.den == 1
-
     def to_isometry(self) -> Isometry:
         if self.den != 1:
             raise ValueError("matrix is not integral")

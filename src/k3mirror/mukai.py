@@ -20,13 +20,15 @@ from .linalg import Vec
 
 
 class NSContext(Frozen):
-    """A Neron-Severi lattice of signature (1, rho-1), optionally with the
+    """An even Neron-Severi lattice of signature (1, rho-1), optionally with the
     ample generator h (required for normalization, where rho must be 1)."""
 
     __slots__ = ("ns", "ample")
     _defaults = {"ample": None}
 
     def __post_init__(self):
+        if not self.ns.is_even:
+            raise ValueError("NS lattice must be even")
         if signature(self.ns)[0] != 1:
             raise ValueError("NS lattice must have signature (1, rho-1)")
         if self.ample is not None:
@@ -38,12 +40,6 @@ class NSContext(Frozen):
     def rho(self) -> int:
         return self.ns.rank
 
-    @property
-    def degree(self) -> int:
-        if self.ample is None:
-            raise ValueError("no ample class fixed")
-        return bilinear(self.ns, self.ample, self.ample)
-
 
 def rank_one_context(n: int) -> NSContext:
     """NS = Z h with (h,h) = 2n, the degree-2n Picard-rank-one case."""
@@ -51,7 +47,7 @@ def rank_one_context(n: int) -> NSContext:
 
 
 class MukaiVector(Frozen):
-    """(r, d, s) with d in the fixed NS lattice."""
+    """(r, d, s) with d in the fixed NS lattice; derived vectors skip the check."""
 
     __slots__ = ("ctx", "r", "d", "s")
 
@@ -61,7 +57,7 @@ class MukaiVector(Frozen):
             raise ValueError("degree-2 part has wrong rank")
 
     def __neg__(self):
-        return MukaiVector(self.ctx, -self.r, tuple(-x for x in self.d), -self.s)
+        return MukaiVector._known(self.ctx, -self.r, tuple(-x for x in self.d), -self.s)
 
     def is_primitive(self) -> bool:
         return gcd(self.r, *map(int, self.d), self.s) == 1
@@ -83,16 +79,14 @@ def ring_mul(v: MukaiVector, w: MukaiVector) -> MukaiVector:
     (r,d,s)(r',d',s') = (r r', r d' + r' d, r s' + r' s + (d,d'))."""
     _check_ctx(v, w)
     d = tuple(v.r * y + w.r * x for x, y in zip(v.d, w.d))
-    return MukaiVector(v.ctx, v.r * w.r,
-                       d, v.r * w.s + w.r * v.s + bilinear(v.ctx.ns, v.d, w.d))
+    return MukaiVector._known(v.ctx, v.r * w.r,
+                              d, v.r * w.s + w.r * v.s + bilinear(v.ctx.ns, v.d, w.d))
 
 
 def line_bundle_vector(ctx: NSContext, b: Vec) -> MukaiVector:
-    """(1, b, (b,b)/2), the Mukai vector of a line bundle with class b."""
-    bb = bilinear(ctx.ns, b, b)
-    if bb % 2 != 0:
-        raise ValueError("NS class has odd square; lattice is not even")
-    return MukaiVector(ctx, 1, b, bb // 2)
+    """(1, b, (b,b)/2), the Mukai vector of a line bundle with class b (NS is even)."""
+    b = tuple(b)
+    return MukaiVector._known(ctx, 1, b, bilinear(ctx.ns, b, b) // 2)
 
 
 # -- actions -----------------------------------------------------------------
@@ -152,17 +146,17 @@ def apply_action(action: Action, x: MukaiVector) -> MukaiVector:
         case Shift():
             return -x
         case Switch():
-            return MukaiVector(x.ctx, x.s, tuple(-c for c in x.d), x.r)
+            return MukaiVector._known(x.ctx, x.s, tuple(-c for c in x.d), x.r)
         case Iota2():
-            return MukaiVector(x.ctx, x.r, tuple(-c for c in x.d), x.s)
+            return MukaiVector._known(x.ctx, x.r, tuple(-c for c in x.d), x.s)
         case Tensor(b=b):
             return ring_mul(line_bundle_vector(x.ctx, b), x)
         case Twist(w=w):
             _check_ctx(w, x)
             k = mukai_pairing(w, x)
-            return MukaiVector(x.ctx, x.r + k * w.r,
-                               tuple(c + k * e for c, e in zip(x.d, w.d)),
-                               x.s + k * w.s)
+            return MukaiVector._known(x.ctx, x.r + k * w.r,
+                                      tuple(c + k * e for c, e in zip(x.d, w.d)),
+                                      x.s + k * w.s)
         case ReflectCurve(c=c):
             return reflect_curve(c, x)
     raise TypeError(f"unknown action {action!r}")
@@ -182,7 +176,7 @@ def reflect_curve(c: Vec, x: MukaiVector) -> MukaiVector:
     if bilinear(x.ctx.ns, c, c) != -2:
         raise ValueError("reflection requires a class of square -2")
     k = bilinear(x.ctx.ns, x.d, c)
-    return MukaiVector(x.ctx, x.r, tuple(a + k * b for a, b in zip(x.d, c)), x.s)
+    return MukaiVector._known(x.ctx, x.r, tuple(a + k * b for a, b in zip(x.d, c)), x.s)
 
 
 # -- normalization ------------------------------------------------------------

@@ -240,6 +240,7 @@ class SeriesCheck(Frozen):
 
 
 _SCHWARZIAN_NUMERATOR = (1, -52, 1500, -6048, 15552)
+_DISC = tuple(q[-1] for q in _Q)   # the theta^3 column: (1 - 36x)(1 - 4x)
 
 # z = 48x/(12x+1) sends the singular points (0, 1/36, 1/4, oo) to (0, 1, 3, 4)
 _STANDARD_POINTS = (0, 1, 3, 4)
@@ -279,7 +280,7 @@ def schwarzian_check(order: int) -> SeriesCheck:
     if order < 8:
         raise ValueError("order must be at least 8")
     s = _schwarzian_of(_theta_t(order))
-    disc = poly((1, -40, 144), top=order)     # (1 - 36x)(1 - 4x)
+    disc = poly(_DISC, top=order)
     return _compare(s * disc * disc * 2, _SCHWARZIAN_NUMERATOR + (0,) * (order - 4), 1, order)
 
 
@@ -287,11 +288,12 @@ def _mirror_map_check(x: RationalSeries, order: int) -> SeriesCheck:
     """The Schwarzian equation in q, a second route to x(q): with theta = q d/dq
     and w = theta^2 x / theta x, x^2 {t, x} = -(theta w - w^2/2) (x / theta x)^2,
     so 2 disc(x)^2 (theta w - w^2/2) + (theta x / x)^2 quartic(x) = 0 through
-    q^order, disc = 1 - 40x + 144x^2 and quartic = _SCHWARZIAN_NUMERATOR."""
+    q^order, with disc = _DISC and quartic = _SCHWARZIAN_NUMERATOR in x."""
     dx = x.theta()
     w, r = dx.theta() / dx, dx / x
-    disc = x * x * 144 - x * 40 + 1
-    quartic = x * 0
+    disc, quartic = x * 0, x * 0
+    for c in reversed(_DISC):
+        disc = disc * x + c
     for c in reversed(_SCHWARZIAN_NUMERATOR):
         quartic = quartic * x + c
     lhs = disc * disc * (w.theta() - w * w * Fraction(1, 2)) * 2 + r * r * quartic

@@ -107,6 +107,26 @@ def test_pf_mirror_map_fails_on_a_planted_coefficient(monkeypatch):
     assert result.payload["expected"] == "0" and result.payload["got"] != "0"
 
 
+def test_pf_series_fails_on_a_planted_coefficient(monkeypatch):
+    from k3mirror import picard_fuchs
+    from k3mirror.series import RationalSeries
+    real = picard_fuchs.pi_series_by_recurrence
+
+    def planted(order):
+        s = real(order)
+        nums = list(s.nums)
+        nums[7] += s.den                # the coefficient of x^7, one more
+        return RationalSeries._from_ints(nums, s.den)
+
+    monkeypatch.setattr(picard_fuchs, "pi_series_by_recurrence", planted)
+    result, code = run(["pf", "series", "--order=12"])
+    assert code == 1 and result.status == "fail"
+    assert result.payload["operation"] == "pf series"
+    assert result.payload["inputs"] == {"order": 12, "power": 7}
+    want = picard_fuchs.pi_series(7).coeff(7)
+    assert result.payload["expected"] == str(want + 1) and result.payload["got"] == str(want)
+
+
 def test_pf_monodromy_payload():
     result, code = invoke("pf", "monodromy", "--point", "0")
     assert code == 0

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from k3mirror import lattices
 from k3mirror.discriminant import construct_mirror_embedding, glue_extends
 from k3mirror.lattices import (
+    STANDARD_NAMES,
     IntLattice,
     Isometry,
     bilinear,
@@ -284,6 +285,50 @@ def test_hyperbolic_extension_matches_u_plus_mn():
     built = hyperbolic_extension(make_standard("two_n", 6))
     assert built.gram == U6.gram
     assert signature(built) == (2, 1)
+
+
+def _assert_stored_form(lat):
+    """The stored Gram is the validating constructor's: int row tuples."""
+    assert type(lat.gram) is tuple and all(type(row) is tuple for row in lat.gram)
+    assert all(type(x) is int for row in lat.gram for x in row)
+    assert IntLattice(lat.gram, label=lat.label) == lat
+
+
+def test_derived_lattices_equal_the_validating_constructor(rng):
+    """Direct sums and hyperbolic extensions are built without a check; each
+    equals what the validating constructor makes of its Gram and label."""
+    rank2 = IntLattice(((2, 1), (1, -2)), label="rank2")
+    for n in range(1, 61):
+        two_n = make_standard("two_n", n)
+        assert hyperbolic_extension(two_n).gram == ((0, 0, -1), (0, 2 * n, 0), (-1, 0, 0))
+        pieces = [make_standard(name, n) for name in STANDARD_NAMES] + [rank2]
+        for lat in pieces:
+            _assert_stored_form(lat)
+        for _ in range(6):
+            a, b = rng.choice(pieces), rng.choice(pieces)
+            for lat in (direct_sum(a, b), direct_sum(a, b, label="s"),
+                        hyperbolic_extension(a), hyperbolic_extension(b, label="h"),
+                        hyperbolic_extension(direct_sum(a, b))):
+                _assert_stored_form(lat)
+                assert signature(lat) == eigen_signature(lat)
+    assert hyperbolic_extension(rank2).gram == ((0, 0, 0, -1), (0, 2, 1, 0),
+                                                (0, 1, -2, 0), (-1, 0, 0, 0))
+
+
+def test_derived_lattices_and_isometries_are_not_validated_again(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} validated a value known by construction")
+    u, e8, two = make_standard("U"), make_standard("E8minus"), make_standard("two_n", 6)
+    refl = Isometry(U6, ((1, 0, 0), (0, -1, 0), (0, 0, 1)))   # from outside: checked once
+    monkeypatch.setattr(IntLattice, "__post_init__", refuse)
+    monkeypatch.setattr(Isometry, "__post_init__", refuse)
+    k3_like = direct_sum(direct_sum(e8, e8), direct_sum(u, direct_sum(u, u)))
+    assert k3_like.rank == 22 and k3_like.label == "E8minus+E8minus+U+U+U"
+    assert hyperbolic_extension(two).gram == U6.gram
+    assert direct_sum(u, two, label="x").gram == ((0, -1, 0), (-1, 0, 0), (0, 0, 12))
+    g = GENS["S1"] @ refl @ -Isometry.identity(U6)
+    assert (g @ g.inverse()).matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert root_reflection(u, (1, 1)).matrix == ((0, -1), (-1, 0))
 
 
 def test_lattice_serialization():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3mirror.lattices import IntLattice, bilinear, make_standard
+from k3mirror.lattices import IntLattice, Isometry, bilinear, make_standard
 from k3mirror.mukai import (
     Iota2,
     MukaiVector,
@@ -208,6 +208,62 @@ def test_involutions(rng):
         if isinstance(a, Twist):
             y = apply_action(a, apply_action(a, x))
             assert (y.r, y.d, y.s) == (x.r, x.d, x.s)
+
+
+def _seeded_inputs(rng, ctx):
+    """Vectors, a class and actions from outside the layer, each checked once."""
+    x, y = _random_vec(rng, ctx), _random_vec(rng, ctx)
+    b = tuple(rng.randint(-3, 3) for _ in range(ctx.rho))
+    actions = [Shift(), Switch(), Iota2(), Tensor(b),
+               _random_action(rng, ctx), _random_action(rng, ctx)]
+    if ctx.rho == 2:
+        c = rng.choice(ROOTS2)
+        actions += [Twist(mk(ctx, 0, c, rng.randint(-3, 3))), ReflectCurve(c)]
+    return ctx, x, y, b, actions
+
+
+def _derived_vectors(ctx, x, y, b, actions):
+    """Every way the layer derives a vector from the seeded inputs."""
+    out = [-x, ring_mul(x, y), line_bundle_vector(ctx, b), line_bundle_vector(ctx, list(b)),
+           apply_word(actions, x)]
+    return out + [apply_action(a, x) for a in actions]
+
+
+def test_derived_vectors_equal_the_validating_constructor(rng):
+    """The vectors the actions, ring_mul and line_bundle_vector derive are
+    built without a check; each equals what the constructor makes of it."""
+    for ctx in [CTX2] + [rank_one_context(n) for n in range(1, 61)]:
+        for _ in range(20):
+            for v in _derived_vectors(*_seeded_inputs(rng, ctx)):
+                assert type(v.d) is tuple and len(v.d) == ctx.rho
+                assert all(type(c) is int for c in (v.r, *v.d, v.s))
+                assert MukaiVector(v.ctx, v.r, list(v.d), v.s) == v
+    assert line_bundle_vector(CTX6, (2,)) == mk(CTX6, 1, (2,), 24)
+    assert line_bundle_vector(CTX2, [1, 1]) == mk(CTX2, 1, (1, 1), 1)
+
+
+def test_derived_vectors_are_not_validated_again(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} validated a value known by construction")
+    rng = random.Random(5)
+    inputs = [_seeded_inputs(rng, ctx) for ctx in (CTX6, CTX2, rank_one_context(30))
+              for _ in range(5)]
+    want = [_derived_vectors(*args) for args in inputs]
+    pairs = [(CTX6, mk(CTX6, 0, (0,), 1), mk(CTX6, 1, (0,), 0))]
+    scramble = [Switch(), Tensor((-3,)), Shift(), Twist(mk(CTX6, 1, (1,), 7))]
+    pairs.append((CTX6, *(apply_word(scramble, w) for w in pairs[0][1:])))
+    normalized = [normalize_mukai_vector(*pair) for pair in pairs]
+    for cls in (IntLattice, Isometry, MukaiVector):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    assert [_derived_vectors(*args) for args in inputs] == want
+    assert [normalize_mukai_vector(*pair) for pair in pairs] == normalized
+
+
+def test_odd_ns_lattice_is_refused():
+    with pytest.raises(ValueError, match="NS lattice must be even"):
+        NSContext(IntLattice(((1,),)), ample=(1,))
+    with pytest.raises(ValueError, match="NS lattice must be even"):
+        NSContext(IntLattice(((2, 1), (1, -1))))
 
 
 def test_normalize_golden_example():
