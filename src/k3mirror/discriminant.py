@@ -76,7 +76,8 @@ def discriminant_group(lat: IntLattice) -> DiscriminantGroup:
     bvals = freeze_mat([[Fraction(bilinear(lat, u, v), du * dv) % 1
                          for v, dv in zip(cols, factors)] for u, du in zip(cols, factors)])
     group = DiscriminantGroup(lat, factors, lifts, qvals, bvals, left, d)
-    assert group.order == abs(lat.determinant)
+    if group.order != abs(lat.determinant):
+        raise ArithmeticError("the invariant factors do not multiply to |det|")
     return group
 
 

@@ -4,6 +4,8 @@ Matrices are immutable tuples of row tuples, vectors are plain tuples;
 entries are ints or Fractions.  Nothing here ever touches floating point.
 Sizes stay tiny (rank <= 24): determinants and the Smith normal form stay
 in integers, and ``solve`` is plain Gaussian elimination over Fraction.
+The Smith normal form is one textbook elimination; its invariant factors are
+canonical, its transforms are one valid unimodular pair among many.
 """
 
 from __future__ import annotations
@@ -120,6 +122,8 @@ def inverse(a: Mat) -> Mat:
 
 
 def is_integral(a) -> bool:
+    if not a:
+        return True
     if isinstance(a[0], tuple):
         return all(is_integral(row) for row in a)
     # float.is_integer is False for inf and nan, which Fraction cannot convert
@@ -128,130 +132,62 @@ def is_integral(a) -> bool:
 
 
 # -- Smith normal form over Z ---------------------------------------------------
-#
-# A plain-int port of sympy 1.14's ``_smith_normal_decomp`` (pure-Python
-# ground types).  It reproduces that routine's transforms exactly, not only
-# its invariants: discriminant-group generators are read off the right
-# transform, so a different but equally valid decomposition would change
-# every printed generator lift.
 
 
-def _gcdex(a: int, b: int) -> tuple[int, int, int]:
-    """(x, y, g) with x*a + y*b = g = gcd(a, b), with the Bezout coefficients
-    of sympy's ``igcdex``: Euclid on |a|, |b| with the signs put back, and
-    (a/g, b/g) when either argument is zero."""
-    if not a or not b:
-        g = abs(a) or abs(b)
-        return (a // g, b // g, g) if g else (0, 0, 0)
-    x_sign, a = (-1, -a) if a < 0 else (1, a)
-    y_sign, b = (-1, -b) if b < 0 else (1, b)
-    x, r, y, s = 1, 0, 0, 1
-    while b:
-        q, c = divmod(a, b)
-        a, b = b, c
-        x, r = r, x - q * r
-        y, s = s, y - q * s
-    return x * x_sign, y * y_sign, a
-
-
-def _add_rows(m: list, i: int, j: int, a: int, b: int, c: int, d: int) -> None:
-    """Rows i, j of m become a*m[i] + b*m[j] and c*m[i] + d*m[j], in place."""
-    ri, rj = m[i], m[j]
-    for k, e in enumerate(ri):
-        ri[k] = a * e + b * rj[k]
-        rj[k] = c * e + d * rj[k]
-
-
-def _add_columns(m: list, i: int, j: int, a: int, b: int, c: int, d: int) -> None:
-    """Columns i, j of m become a*m[:,i] + b*m[:,j] and c*m[:,i] + d*m[:,j]."""
-    for row in m:
-        e = row[i]
-        row[i] = a * e + b * row[j]
-        row[j] = c * e + d * row[j]
-
-
-def _elimination(pivot: int, x: int) -> tuple[tuple[int, int, int, int], int]:
-    """The combination of two rows (or columns) that clears x against the
-    pivot, and the pivot after it: subtract a multiple of the pivot line
-    when pivot | x, else the Bezout combination that leaves gcd(pivot, x)
-    in the pivot position."""
-    d, r = divmod(x, pivot)
-    if not r:
-        return (1, 0, -d, 1), pivot
-    a, b, g = _gcdex(pivot, x)
-    return (a, b, x // g, -(pivot // g)), g
-
-
-def _snf(m: list, s: list, t: list, k: int) -> tuple[int, ...]:
-    """Invariants of the list matrix m (consumed), the whole matrix from row and column
-    k on; its row and column operations go in place to rows k.. of s and columns k.. of t."""
-    rows, cols = len(m), len(m[0])
-
-    # bring a nonzero entry to m[0][0]: first from column 0, else from row 0
-    i = next((i for i in range(rows) if m[i][0]), None)
-    if i:
-        m[0], m[i] = m[i], m[0]
-        s[k], s[k + i] = s[k + i], s[k]
-    elif i is None:
-        j = next((j for j in range(cols) if m[0][j]), None)
-        if j:
-            for row in m:
-                row[0], row[j] = row[j], row[0]
-            for row in t:
-                row[k], row[k + j] = row[k + j], row[k]
-
-    # clear row 0 and column 0 except the pivot, alternately
-    while any(m[0][1:]) or any(m[i][0] for i in range(1, rows)):
-        pivot = m[0][0]
-        for j in range(1, rows):
-            if m[j][0]:
-                ops, pivot = _elimination(pivot, m[j][0])
-                _add_rows(m, 0, j, *ops)
-                _add_rows(s, k, k + j, *ops)
-        pivot = m[0][0]
-        for j in range(1, cols):
-            if m[0][j]:
-                ops, pivot = _elimination(pivot, m[0][j])
-                _add_columns(m, 0, j, *ops)
-                _add_columns(t, k, k + j, *ops)
-
-    if m[0][0] < 0:
-        m[0][0] = -m[0][0]
-        s[k] = [-x for x in s[k]]
-
-    invs: tuple[int, ...] = ()
-    if rows > 1 and cols > 1:
-        invs = _snf([r[1:] for r in m[1:]], s, t, k + 1)
-
-    if not m[0][0]:
-        s[k:] = s[k + 1:] + [s[k]]
-        for row in t:
-            row[k:] = row[k + 1:] + [row[k]]
-        return invs + (0,)
-
-    result = [m[0][0], *invs]
-    # the pivot need not divide the invariants of the rest of the matrix
-    for i in range(k, k + len(result) - 1):
-        a, b = result[i - k], result[i - k + 1]
-        if not b or not b % a:
-            break
-        x, y, d = _gcdex(a, b)
-        alpha, beta = a // d, b // d
-        _add_rows(s, i, i + 1, 1, 0, x, 1)
-        _add_columns(t, i, i + 1, 1, y, 0, 1)
-        _add_rows(s, i, i + 1, 1, -alpha, 0, 1)
-        _add_columns(t, i, i + 1, 1, 0, -beta, 1)
-        _add_rows(s, i, i + 1, 0, 1, -1, 0)
-        result[i - k], result[i - k + 1] = d, b * alpha
-    return tuple(result)
+def _least_entry(m: list, k: int) -> tuple[int, int, int] | None:
+    """(|x|, i, j) for the first least nonzero |x| = |m[i][j]| in the block from
+    row and column k on (row-major, stopping at a unit); None on a zero block."""
+    best = None
+    for i in range(k, len(m)):
+        for j, x in enumerate(m[i][k:], k):
+            if x and (best is None or abs(x) < best[0]):
+                best = abs(x), i, j
+                if best[0] == 1:
+                    return best
+    return best
 
 
 def smith_normal_decomp(a: Mat) -> tuple[tuple[int, ...], Mat, Mat]:
-    """(invariants, s, t) with s * a * t = diag(invariants) for an integer
-    matrix a, s and t unimodular; the nonzero invariants are positive, divide
-    each other in order, and come before the zeros."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    """(invariants, s, t) with s * a * t = diag(invariants) for an integral
+    matrix a (else ValueError), s and t unimodular; the nonzero invariants are
+    positive, divide each other in order, and come before the zeros.
+
+    Textbook elimination (Cohen, GTM 138, section 2.4): the least entry of the
+    remaining block is the pivot; its row and column are cleared by division
+    with remainder, and a row the pivot does not divide is added to the pivot
+    row, until the pivot divides the rest of the block."""
+    if not is_integral(a):
+        raise ValueError("Smith normal form of a non-integral matrix")
+    rows, cols = len(a), len(a[0]) if a else 0
+    m = [list(row) for row in _as_ints(a)]
     s, t = [list(row) for row in identity(rows)], [list(row) for row in identity(cols)]
-    invs = _snf([[int(x) for x in row] for row in a], s, t, 0) if rows and cols else ()
-    return invs, freeze_mat(s), freeze_mat(t)
+    invs = [0] * min(rows, cols)
+    for k in range(len(invs)):
+        while pivot := _least_entry(m, k):
+            _, i, j = pivot
+            m[k], m[i], s[k], s[i] = m[i], m[k], s[i], s[k]
+            for row in m[k:] + t:
+                row[k], row[j] = row[j], row[k]
+            p, mk, sk = m[k][k], m[k], s[k]
+            for i in range(k + 1, rows):
+                if q := m[i][k] // p:
+                    m[i] = [x - q * y for x, y in zip(m[i], mk)]
+                    s[i] = [x - q * y for x, y in zip(s[i], sk)]
+            for j in range(k + 1, cols):
+                if q := mk[j] // p:
+                    for row in m[k:] + t:
+                        row[j] -= q * row[k]
+            if any(mk[k + 1:]) or any(m[i][k] for i in range(k + 1, rows)):
+                continue
+            # a unit divides everything; else find a row it does not divide
+            if abs(p) == 1 or (i := next((i for i in range(k + 1, rows)
+                                          if any(x % p for x in m[i][k + 1:])), None)) is None:
+                break
+            m[k] = [x + y for x, y in zip(mk, m[i])]
+            s[k] = [x + y for x, y in zip(sk, s[i])]
+        else:
+            break   # the rest of the block is zero
+        if p < 0:
+            s[k] = [-x for x in s[k]]
+        invs[k] = abs(p)
+    return tuple(invs), freeze_mat(s), freeze_mat(t)

@@ -266,8 +266,10 @@ def normalize_mukai_vector(ctx: NSContext, v: MukaiVector, u: MukaiVector):
     v1 = apply_action(mv, v1)
     u1 = apply_action(mv, u1)
 
-    assert v1.r > 1 and gcd(v1.r, v1.s) == 1 and v1.d[0] > 0
-    assert mukai_pairing(u1, v1) == -1 and mukai_pairing(v1, v1) == 0
+    if not (v1.r > 1 and gcd(v1.r, v1.s) == 1 and v1.d[0] > 0):
+        raise ArithmeticError("the normal form is not (r > 1, ample, s coprime to r)")
+    if mukai_pairing(u1, v1) != -1 or mukai_pairing(v1, v1) != 0:
+        raise ArithmeticError("the normalization broke an isotropy or a pairing")
     return tuple(word), v1, u1
 
 

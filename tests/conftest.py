@@ -1,16 +1,10 @@
 """Shared helpers: sample isometries of U + <2n> and of the mirror-side
 summand, used by the discriminant, modular and glue test suites."""
 
-import os
 import random
 from fractions import Fraction
 
 import pytest
-
-# sympy is a test oracle only; pin it to its pure-Python integers, whose
-# extended-gcd conventions the Smith normal form port follows (with gmpy2 or
-# flint integers sympy may pick other, equally valid, Bezout coefficients)
-os.environ["SYMPY_GROUND_TYPES"] = "python"
 
 from k3mirror.lattices import Isometry, root_reflection
 from k3mirror.linalg import identity, mat_mul

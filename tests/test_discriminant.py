@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import cache
 
@@ -12,6 +15,7 @@ from k3mirror.discriminant import (
     GlueData,
     construct_mirror_embedding,
     cyclic_disc_isometry_count,
+    disc_group_to_obj,
     discriminant_group,
     glue_compatible,
     glue_extends,
@@ -42,6 +46,7 @@ from k3mirror.modular import monodromy_generators, u_plus_mn
 
 GENS = monodromy_generators(6)
 U6 = u_plus_mn(6)
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(discriminant.__file__)))
 
 
 def test_unimodular_is_trivial():
@@ -71,6 +76,43 @@ def test_u_plus_m6_discriminant_is_z12():
 def test_order_equals_determinant(name, n):
     lat = make_standard(name, n)
     assert discriminant_group(lat).order == abs(lat.determinant)
+
+
+def test_standard_discriminant_forms_match_the_closed_form():
+    """A = Z/2n with q = 1/2n on <2n> and U + <2n>, and q = 2 - 1/2n on
+    <-2n> and Mcheck_n, for every n <= 200."""
+    for n in range(1, 201):
+        q = Fraction(1, 2 * n)
+        for name, qval in (("two_n", q), ("U_plus_Mn", q),
+                           ("minus_two_n", 2 - q), ("Mcheck_n", 2 - q)):
+            group = discriminant_group.__wrapped__(make_standard(name, n))
+            assert disc_group_to_obj(group) == {"invariant_factors": [2 * n],
+                                                "qvals": [str(qval)]}
+
+
+_DROP_A_FACTOR = """
+import sys
+from k3mirror import discriminant, lattices
+smith = discriminant.smith_normal_decomp
+discriminant.smith_normal_decomp = lambda a: (smith(a)[0][:-1],) + smith(a)[1:]
+try:
+    discriminant.discriminant_group(lattices.make_standard("U_plus_Mn", 6))
+except ArithmeticError:
+    print(sys.flags.optimize, "refused")
+"""
+
+
+def test_discriminant_group_refuses_a_smith_form_without_a_factor(monkeypatch):
+    """The order check is an explicit raise, so it also holds under python -O."""
+    smith = discriminant.smith_normal_decomp
+    monkeypatch.setattr(discriminant, "smith_normal_decomp",
+                        lambda a: (smith(a)[0][:-1],) + smith(a)[1:])
+    with pytest.raises(ArithmeticError, match="invariant factors"):
+        discriminant_group.__wrapped__(U6)
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", _DROP_A_FACTOR], capture_output=True,
+                          check=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout == "1 refused\n"
 
 
 def test_two_invariant_factors():
@@ -193,9 +235,12 @@ def test_disc_maps_match_the_former_fraction_route(n):
 
 def test_disc_maps_match_the_former_fraction_route_on_reducible_lifts():
     """Lifts whose entries share a factor with the invariant factor, such as
-    (2/9, -1/9, 1/4) for the factor 36, so a numerator must be rescaled."""
+    (1/9, -5/9, 1/4) for the factor 36, so a numerator must be rescaled."""
     lat = IntLattice(((6, 3, 0), (3, 6, 0), (0, 0, 4)))
-    assert Fraction(2, 9) in discriminant_group(lat).generator_lifts[1]
+    group = discriminant_group(lat)
+    assert any(x.denominator < d
+               for d, lift in zip(group.invariant_factors, group.generator_lifts)
+               for x in lift if x)
     swap, flip = ((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, -1))
     gens = [Isometry(lat, m) for m in (identity(3), swap, flip)] + [-Isometry.identity(lat)]
     _assert_former_fraction_route(random.Random(9100), gens)

@@ -1,46 +1,40 @@
-"""The Smith normal form port against sympy's ``smith_normal_decomp``, which
-it reproduces transform for transform (conftest pins sympy to its
-pure-Python integer arithmetic, whose Bezout coefficients the port uses),
-and against its former recursive form; the fraction-free determinant
-against elimination over Fraction."""
+"""The Smith normal form by its defining properties, with sympy's
+``smith_normal_decomp`` as the oracle for the invariant factors (which are
+canonical; the transforms are not); the fraction-free determinant against
+elimination over Fraction."""
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_decomp as sympy_snf
 
 from conftest import fraction_det
-from k3mirror.lattices import STANDARD_NAMES, make_standard
+from k3mirror.lattices import STANDARD_NAMES, IntLattice, Isometry, make_standard
 from k3mirror.linalg import (
-    _add_columns,
-    _add_rows,
-    _elimination,
-    _gcdex,
     det,
     freeze_mat,
-    identity,
     is_integral,
     mat_mul,
-    mat_vec,
     smith_normal_decomp,
-    transpose,
 )
 
 
-def sympy_reference(m):
+def sympy_invariants(m):
     rows, cols = len(m), len(m[0])
     dm = DomainMatrix([[ZZ(x) for x in row] for row in m], (rows, cols), ZZ)
-    diag, s, t = (x.to_Matrix().tolist() for x in sympy_snf(dm))
-    invs = tuple(int(diag[i][i]) for i in range(min(rows, cols)))
-    return invs, *(tuple(tuple(int(x) for x in row) for row in a) for a in (s, t))
+    diag = sympy_snf(dm)[0].to_Matrix().tolist()
+    return tuple(int(diag[i][i]) for i in range(min(rows, cols)))
 
 
-def assert_matches_sympy(m):
-    invs, s, t = got = smith_normal_decomp(m)
-    assert got == sympy_reference(m)
+def assert_smith_form(m):
+    """s m t = diag(invariants) with s, t unimodular; the nonzero invariants
+    positive, each dividing the next, before the zeros; and the invariants
+    equal to sympy's."""
+    invs, s, t = smith_normal_decomp(m)
     diag = tuple(tuple(invs[i] if i == j else 0 for j in range(len(m[0])))
                  for i in range(len(m)))
     assert mat_mul(s, mat_mul(m, t)) == diag
@@ -49,6 +43,7 @@ def assert_matches_sympy(m):
     assert list(invs) == nonzero + [0] * (len(invs) - len(nonzero))
     assert all(d > 0 for d in nonzero)
     assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+    assert invs == sympy_invariants(m)
 
 
 @st.composite
@@ -72,7 +67,7 @@ def int_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(int_matrices())
 def test_snf_matches_sympy_on_drawn_matrices(m):
-    assert_matches_sympy(m)
+    assert_smith_form(m)
 
 
 def standard_grams():
@@ -86,82 +81,12 @@ def standard_grams():
 
 def test_snf_matches_sympy_on_standard_grams():
     for gram in standard_grams():
-        assert_matches_sympy(gram)
+        assert_smith_form(gram)
 
 
 def test_snf_zero_and_degenerate_shapes():
     for m in (((0, 0), (0, 0)), ((0, 0), (0, 5)), ((0, 4, 6),), ((2,), (4,), (0,)), ((-3,),)):
-        assert_matches_sympy(m)
-
-
-# -- the former recursive Smith form, kept as a reference ------------------------
-
-def _eye(n):
-    return [list(row) for row in identity(n)]
-
-
-def _former_snf(m, rows, cols):
-    """The former recursion: fresh transforms at every level, combined with
-    the outer ones by a matrix product on the way back."""
-    if not rows or not cols:
-        return (), _eye(rows), _eye(cols)
-    s, t = _eye(rows), _eye(cols)
-    i = next((i for i in range(rows) if m[i][0]), None)
-    if i:
-        m[0], m[i] = m[i], m[0]
-        s[0], s[i] = s[i], s[0]
-    elif i is None:
-        j = next((j for j in range(cols) if m[0][j]), None)
-        if j:
-            for row in m + t:
-                row[0], row[j] = row[j], row[0]
-    while any(m[0][1:]) or any(m[i][0] for i in range(1, rows)):
-        pivot = m[0][0]
-        for j in range(1, rows):
-            if m[j][0]:
-                ops, pivot = _elimination(pivot, m[j][0])
-                _add_rows(m, 0, j, *ops)
-                _add_rows(s, 0, j, *ops)
-        pivot = m[0][0]
-        for j in range(1, cols):
-            if m[0][j]:
-                ops, pivot = _elimination(pivot, m[0][j])
-                _add_columns(m, 0, j, *ops)
-                _add_columns(t, 0, j, *ops)
-    if m[0][0] < 0:
-        m[0][0] = -m[0][0]
-        s[0] = [-x for x in s[0]]
-    invs = ()
-    if rows > 1 and cols > 1:
-        invs, s_small, t_small = _former_snf([r[1:] for r in m[1:]], rows - 1, cols - 1)
-        s = [s[0]] + [list(row) for row in mat_mul(s_small, s[1:])]
-        t_cols = transpose(t_small)
-        t = [[row[0], *mat_vec(t_cols, row[1:])] for row in t]
-    if not m[0][0]:
-        if rows > 1:
-            s = s[1:] + [s[0]]
-        if cols > 1:
-            t = [row[1:] + [row[0]] for row in t]
-        return invs + (0,), s, t
-    result = [m[0][0], *invs]
-    for i in range(len(result) - 1):
-        a, b = result[i], result[i + 1]
-        if not b or not b % a:
-            break
-        x, y, d = _gcdex(a, b)
-        alpha, beta = a // d, b // d
-        _add_rows(s, i, i + 1, 1, 0, x, 1)
-        _add_columns(t, i, i + 1, 1, y, 0, 1)
-        _add_rows(s, i, i + 1, 1, -alpha, 0, 1)
-        _add_columns(t, i, i + 1, 1, 0, -beta, 1)
-        _add_rows(s, i, i + 1, 0, 1, -1, 0)
-        result[i], result[i + 1] = d, b * alpha
-    return tuple(result), s, t
-
-
-def former_decomp(a):
-    invs, s, t = _former_snf([list(row) for row in a], len(a), len(a[0]))
-    return invs, freeze_mat(s), freeze_mat(t)
+        assert_smith_form(m)
 
 
 def seeded_int_matrices(count, seed):
@@ -187,11 +112,25 @@ def seeded_int_matrices(count, seed):
         yield freeze_mat(m)
 
 
-def test_snf_matches_the_former_recursion_transform_for_transform():
+def test_snf_properties_on_seeded_matrices():
     for m in seeded_int_matrices(400, 17):
-        assert smith_normal_decomp(m) == former_decomp(m)
-    for gram in standard_grams():
-        assert smith_normal_decomp(gram) == former_decomp(gram)
+        assert_smith_form(m)
+
+
+def test_snf_gcd_moves_to_the_first_invariant():
+    """diag(2, 3) is not a Smith form: the pivot 2 does not divide 3, so
+    the divisibility step must turn it into diag(1, 6)."""
+    assert smith_normal_decomp(((2, 0), (0, 3)))[0] == (1, 6)
+    assert smith_normal_decomp(((4, 0, 0), (0, 6, 0), (0, 0, 0)))[0] == (2, 12, 0)
+    assert smith_normal_decomp(((0, 0), (0, -5)))[0] == (5, 0)
+
+
+def test_snf_refuses_a_non_integral_entry():
+    for m in (((Fraction(1, 2),),), ((Fraction(3, 2), 0), (0, 2))):
+        with pytest.raises(ValueError, match="non-integral"):
+            smith_normal_decomp(m)
+    invs, s, t = smith_normal_decomp(((2.0, 0), (0, Fraction(4, 2))))
+    assert invs == (2, 2) and all(type(x) is int for row in s + t for x in row)
 
 
 def test_det_matches_elimination_over_fraction():
@@ -215,3 +154,10 @@ def test_is_integral_answers_false_on_non_finite_floats():
         assert not is_integral(((1, 0), (0, bad)))
     assert is_integral((2.0, -0.0, Fraction(4, 2), 3))
     assert not is_integral((2, 0.5))
+
+
+def test_is_integral_answers_true_on_empty_vectors_and_matrices():
+    assert is_integral(()) and is_integral(((),))
+    lat = IntLattice(())
+    assert Isometry(lat, ()) == Isometry.identity(lat)
+    assert smith_normal_decomp(()) == ((), (), ())
