@@ -19,11 +19,12 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import comb, lcm
 from operator import add, mul
 
 from ._frozen import Frozen
-from .series import LogSeries, RationalSeries, _push, poly
+from .series import LogSeries, RationalSeries, _push
 
 SINGULAR_POINTS = (Fraction(0), Fraction(1, 36), Fraction(1, 4))
 
@@ -121,6 +122,9 @@ _LAYERS = [[[1], 1], [[0], 1], [[0], 1]]
 # g1/Pi through the highest order asked so far, handed out the same way; it is
 # replaced whole, so an interrupted extension leaves it intact
 _SHIFT = RationalSeries._from_ints([0])
+# x^2 {t, x} through the highest order asked so far, stored like _SHIFT; it
+# starts as its constant term 1/2
+_SCHWARZ = RationalSeries._from_ints([1], 2)
 
 
 def _frobenius_layers(order: int, count: int = 3) -> list[RationalSeries]:
@@ -241,6 +245,10 @@ class SeriesCheck(Frozen):
 
 _SCHWARZIAN_NUMERATOR = (1, -52, 1500, -6048, 15552)
 _DISC = tuple(q[-1] for q in _Q)   # the theta^3 column: (1 - 36x)(1 - 4x)
+# 2 disc^2, low degree first
+_TWICE_DISC_SQ = tuple(2 * sum(_DISC[i] * _DISC[k - i] for i in range(len(_DISC))
+                               if 0 <= k - i < len(_DISC))
+                       for k in range(2 * len(_DISC) - 1))
 
 # z = 48x/(12x+1) sends the singular points (0, 1/36, 1/4, oo) to (0, 1, 3, 4)
 _STANDARD_POINTS = (0, 1, 3, 4)
@@ -262,6 +270,18 @@ def _schwarzian_of(dt: RationalSeries) -> RationalSeries:
     return w.theta() - w * w * Fraction(1, 2) + Fraction(1, 2)
 
 
+def _schwarzian(order: int) -> RationalSeries:
+    """x^2 {t, x} through x^order, read from the stored series.  Its
+    coefficients through x^N depend only on g1/Pi through x^N, so a prefix of
+    the stored series equals a fresh computation at the lower order."""
+    global _SCHWARZ
+    _check_order(order)
+    stored = _SCHWARZ
+    if stored.top < order:
+        stored = _SCHWARZ = _schwarzian_of(_theta_t(order))
+    return stored.truncate(order)
+
+
 def _compare(lhs: RationalSeries, nums, den: int, order: int) -> SeriesCheck:
     """lhs against the exact coefficients nums[k] / den, k = 0 .. order.  Each
     int numerator of lhs is compared with nums[k] by cross-multiplication;
@@ -276,12 +296,21 @@ def _compare(lhs: RationalSeries, nums, den: int, order: int) -> SeriesCheck:
 
 def schwarzian_check(order: int) -> SeriesCheck:
     """Exact comparison of {t,x} * 2x^2 (1-36x)^2 (1-4x)^2 with the quartic
-    1 - 52x + 1500x^2 - 6048x^3 + 15552x^4, through the given order."""
+    1 - 52x + 1500x^2 - 6048x^3 + 15552x^4, through the given order, with
+    x^2 {t,x} read from the stored series (``_schwarzian``)."""
     if order < 8:
         raise ValueError("order must be at least 8")
-    s = _schwarzian_of(_theta_t(order))
-    disc = poly(_DISC, top=order)
-    return _compare(s * disc * disc * 2, _SCHWARZIAN_NUMERATOR + (0,) * (order - 4), 1, order)
+    lhs = _times_twice_disc_sq(_schwarzian(order), order)
+    return _compare(lhs, _SCHWARZIAN_NUMERATOR + (0,) * (order - 4), 1, order)
+
+
+def _times_twice_disc_sq(s: RationalSeries, top: int) -> RationalSeries:
+    """s 2 disc^2 through x^top, for a power series s: one linear pass that
+    convolves the numerators of s with the five coefficients of 2 disc^2."""
+    nums = s._nums_from(0, top)
+    return RationalSeries._from_ints(
+        [sum(c * nums[k - j] for j, c in enumerate(_TWICE_DISC_SQ) if j <= k)
+         for k in range(top + 1)], s.den)
 
 
 def _mirror_map_check(x: RationalSeries, order: int) -> SeriesCheck:
@@ -302,13 +331,23 @@ def _mirror_map_check(x: RationalSeries, order: int) -> SeriesCheck:
 
 def _standard_chart(s: RationalSeries, top: int) -> RationalSeries:
     """s(x(z)) / (1 - z/4)^2 through z^top, for a power series s and the chart
-    x(z) = (z/48)/(1 - z/4).  As x^k / (1 - z/4)^2 = (z/48)^k (1 - z/4)^-(k+2),
-    the coefficient of z^m is sum_k s_k C(m+1, k+1) / (12^k 4^m); the sum runs
-    on the numerators of s over one common denominator."""
-    nums = [c * 12 ** (top - k) for k, c in enumerate(s._nums_from(0, top))]
+    x(z) = (z/48)/(1 - z/4), over the denominator s.den 12^top 4^top.
+
+    With u = z/4 and v = u/(1 - u), x = v/12, so the sum is
+    sum_k s_k v^k / 12^k over (1 - u)^2.  Horner in v runs on the numerators
+    of s: B <- 12^(top-k) s_k + v B for k = top .. 0, where multiplying by v
+    is a prefix sum (1/(1 - u)) shifted by one (u).  The term of index k is
+    later multiplied by v^k, so B is kept only through u^(top-k).  Two more
+    prefix sums divide by (1 - u)^2, and u^m = z^m / 4^m is scaled by
+    4^(top-m) onto the common denominator."""
+    nums = s._nums_from(0, top)
+    b, p = [nums[top]], 1
+    for k in range(top - 1, -1, -1):
+        p *= 12
+        b = [p * nums[k], *accumulate(b)]
     return RationalSeries._from_ints(
-        [sum(nums[k] * comb(m + 1, k + 1) for k in range(m + 1)) * 4 ** (top - m)
-         for m in range(top + 1)], s.den * 12 ** top * 4 ** top)
+        [x << 2 * (top - m) for m, x in enumerate(accumulate(accumulate(b)))],
+        s.den * 12 ** top * 4 ** top)
 
 
 def _standard_rhs(order: int) -> tuple[list[int], int]:
@@ -350,11 +389,12 @@ def standard_form_check(order: int) -> SeriesCheck:
     data _STANDARD_POINTS, _STANDARD_ALPHA and _STANDARD_BETA as int numerators
     over one denominator D = m A^order (``_standard_rhs``: A is the lcm of the
     nonzero points, m that of the denominators of the constants), and
-    z^2 {t,z} is compared with it by cross-multiplication."""
+    z^2 {t,z}, the stored x^2 {t,x} (``_schwarzian``) carried to the chart by
+    ``_standard_chart``, is compared with it by cross-multiplication."""
     if order < 8:
         raise ValueError("order must be at least 8")
     # z^2 {t,z} = (z/x)^2 (dx/dz)^2 x^2 {t,x}, and (z/x)(dx/dz) = 1/(1 - z/4)
-    lhs = _standard_chart(_schwarzian_of(_theta_t(order)), order)
+    lhs = _standard_chart(_schwarzian(order), order)
     return _compare(lhs, *_standard_rhs(order), order)
 
 

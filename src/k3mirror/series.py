@@ -100,6 +100,9 @@ class RationalSeries:
         return k < self.lead or not any(self.nums[:k - self.lead + 1])
 
     def truncate(self, top: int) -> "RationalSeries":
+        """The coefficients through x^top; a top past the truncation raises."""
+        if top > self.top:
+            raise ValueError(f"truncation at x^{top} lies beyond the known coefficients (top {self.top})")
         if top >= self.lead:
             return RationalSeries._from_ints(self.nums[:top - self.lead + 1], self.den, self.lead)
         if top >= 0:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,11 +24,13 @@ from k3mirror.picard_fuchs import (
     _log_shift,
     _loop_legs,
     _mirror_map_check,
+    _schwarzian,
     _schwarzian_of,
     _standard_chart,
     _standard_rhs,
     _taylor_step,
     _theta_t,
+    _times_twice_disc_sq,
     _transport,
     apply_operator,
     dform_coefficients,
@@ -195,11 +198,19 @@ def _eta_float(q, terms=200):
     return out
 
 
-def _x_by_eta_float(tau):
+def _s_by_eta_float(tau):
+    """s = q (E(q^2) E(q^6) / (E(q) E(q^3)))^6 at q = exp(2 pi i tau)."""
     q = cmath.exp(2j * math.pi * tau)
     e = [_eta_float(q ** k) for k in (1, 2, 3, 6)]
-    s = q * (e[1] * e[3] / (e[0] * e[2])) ** 6
-    return s / (1 + 20 * s + 64 * s * s)
+    return q * (e[1] * e[3] / (e[0] * e[2])) ** 6
+
+
+def _x_from_s(s, middle=20, last=64):
+    return s / (1 + middle * s + last * s * s)
+
+
+def _x_by_eta_float(tau):
+    return _x_from_s(_s_by_eta_float(tau))
 
 
 def test_x_at_the_fricke_fixed_point_is_one_over_36():
@@ -219,6 +230,38 @@ def test_x_at_the_elliptic_point_is_one_quarter():
     x = mirror_map(200).x_of_q
     sizes = [abs(float(x.coeff(k)) * q ** k) for k in (50, 100, 150, 200)]
     assert sizes == sorted(sizes) and sizes[0] > 1
+
+
+def _w6_pairs():
+    """Five seeded tau with tau and its Fricke image -1/(6 tau) both at
+    Im >= 0.3, where the float eta products converge fast."""
+    rng = random.Random(6)
+    pairs = []
+    while len(pairs) < 5:
+        tau = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.3, 0.6))
+        image = -1 / (6 * tau)
+        if image.imag >= 0.3:
+            pairs.append((tau, image))
+    return pairs
+
+
+def test_x_is_invariant_under_the_fricke_involution():
+    # W_6 sends s to 1/(64 s), and x = s/(1 + 20 s + 64 s^2) is W_6-invariant
+    # for any middle coefficient (it reads 64 s / ((64 s)^2 + 64 c s + 64) at
+    # the image), but not for a last coefficient other than 64
+    x = mirror_map(200).x_of_q
+    for tau, image in _w6_pairs():
+        s, s_image = _s_by_eta_float(tau), _s_by_eta_float(image)
+        assert abs(s * s_image - 1 / 64) < 1e-12
+        assert abs(_x_from_s(s) - _x_from_s(s_image)) < 1e-12
+        assert abs(_x_from_s(s, middle=21) - _x_from_s(s_image, middle=21)) < 1e-12
+        assert abs(_x_from_s(s, last=65) - _x_from_s(s_image, last=65)) > 1e-6
+        # the exact q-series sums to the same value at the point of the pair
+        # nearer the cusp, where it converges fastest
+        near = max(tau, image, key=lambda t: t.imag)
+        q = cmath.exp(2j * math.pi * near)
+        total = sum(float(c) * q ** k for k, c in zip(range(1, 202), x.coeffs))
+        assert abs(total - _x_by_eta_float(near)) < 1e-12
 
 
 @pytest.mark.parametrize("order", [4, 8, 31, 60, 150])
@@ -277,6 +320,71 @@ def test_theta_form_matches_laurent_schwarzian(order):
     old = _schwarzian_by_laurent(order)
     assert (new.lead, new.top) == (old.lead, old.top) == (0, order)
     assert new.coeffs == old.coeffs
+
+
+def _fields(s):
+    return (s.lead, s.nums, s.den, s.top)
+
+
+def test_stored_schwarzian_matches_fresh_computation(monkeypatch):
+    # the store starts as the constant term 1/2, which is x^2 {t,x} through x^0
+    empty = RationalSeries._from_ints([1], 2)
+    assert _fields(empty) == _fields(_schwarzian_of(_theta_t(0)))
+    fresh = {n: _fields(_schwarzian_of(_theta_t(n))) for n in range(8, 201)}
+    # descending, the first request fills the store; ascending, each one replaces it
+    for orders in (range(200, 7, -1), range(8, 201)):
+        monkeypatch.setattr(picard_fuchs, "_SCHWARZ", empty)
+        for n in orders:
+            assert _fields(_schwarzian(n)) == fresh[n], n
+    assert picard_fuchs._SCHWARZ.top == 200
+
+
+def test_stored_schwarzian_grows_only_on_a_higher_order(monkeypatch):
+    monkeypatch.setattr(picard_fuchs, "_SCHWARZ", RationalSeries._from_ints([1], 2))
+    _schwarzian(30)
+    stored = picard_fuchs._SCHWARZ
+    _schwarzian(12)
+    _schwarzian(30)
+    assert picard_fuchs._SCHWARZ is stored and stored.top == 30
+
+    def interrupted(dt):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(picard_fuchs, "_schwarzian_of", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _schwarzian(31)
+    assert picard_fuchs._SCHWARZ is stored
+
+
+def test_both_checks_share_one_schwarzian(monkeypatch):
+    calls = []
+
+    def counted(dt):
+        calls.append(dt.top)
+        return _schwarzian_of(dt)
+
+    monkeypatch.setattr(picard_fuchs, "_SCHWARZ", RationalSeries._from_ints([1], 2))
+    monkeypatch.setattr(picard_fuchs, "_schwarzian_of", counted)
+    for order in (30, 20, 30):
+        assert schwarzian_check(order).ok and standard_form_check(order).ok
+    assert calls == [30]
+
+
+def test_linear_disc_product_matches_series_products():
+    assert picard_fuchs._TWICE_DISC_SQ == (2, -160, 3776, -23040, 41472)
+    for n in range(8, 201):
+        s = _schwarzian(n)
+        disc = poly(picard_fuchs._DISC, top=n)
+        assert _fields(_times_twice_disc_sq(s, n)) == _fields(s * disc * disc * 2), n
+
+
+@pytest.mark.parametrize("i", range(5))
+def test_schwarzian_fails_on_a_changed_quartic(monkeypatch, i):
+    quartic = picard_fuchs._SCHWARZIAN_NUMERATOR
+    monkeypatch.setattr(picard_fuchs, "_SCHWARZIAN_NUMERATOR",
+                        _replaced(quartic, i, quartic[i] + 1))
+    chk = schwarzian_check(20)
+    assert not chk.ok and chk.first_mismatch[0] == i
 
 
 def test_standard_form_exact():
@@ -355,6 +463,25 @@ def _standard_chart_by_composition(s, top):
     comp = s.compose(x_of_z)
     front = poly((48, -12), top=comp.top)
     return front * front * comp * dx_dz * dx_dz
+
+
+def _standard_chart_by_binomials(s, top):
+    """The former chart change: the coefficient of z^m is
+    sum_k s_k C(m+1, k+1) / (12^k 4^m), on the numerators of s."""
+    nums = [c * 12 ** (top - k) for k, c in enumerate(s._nums_from(0, top))]
+    return RationalSeries._from_ints(
+        [sum(nums[k] * math.comb(m + 1, k + 1) for k in range(m + 1)) * 4 ** (top - m)
+         for m in range(top + 1)], s.den * 12 ** top * 4 ** top)
+
+
+def test_standard_chart_matches_former_binomial_sum():
+    for n in range(0, 201):
+        s = _schwarzian(n)
+        assert _fields(_standard_chart(s, n)) == _fields(_standard_chart_by_binomials(s, n)), n
+    # a series with a leading zero, past its first coefficient
+    s = RationalSeries([0, Fraction(3, 7), -2, 5, Fraction(1, 11)])
+    for n in range(5):
+        assert _fields(_standard_chart(s, n)) == _fields(_standard_chart_by_binomials(s, n)), n
 
 
 @settings(max_examples=60)

@@ -148,6 +148,17 @@ def test_truncate_clips_to_zero():
     assert t.is_zero_through(1)
 
 
+def test_truncate_refuses_unknown_coefficients():
+    # as coeff and is_zero_through do; before, a short series came back
+    s = RationalSeries._from_ints([1, 2, 3])
+    assert s.truncate(2).nums == (1, 2, 3)
+    for top in (3, 10):
+        with pytest.raises(ValueError, match="beyond the known coefficients"):
+            s.truncate(top)
+    with pytest.raises(ValueError):
+        RationalSeries([5, 5], lead=3).truncate(5)
+
+
 def _revert_by_fixed_point(f):
     """The former reversion, kept as a reference: one full composition per
     coefficient, correcting g until f(g(q)) = q."""
@@ -216,6 +227,8 @@ class _FractionSeries:
         return _FractionSeries(self.coeffs[i:], self.lead + i)
 
     def truncate(self, top):
+        if top > self.top:
+            raise ValueError("beyond the truncation")
         if top >= self.lead:
             return _FractionSeries(self.coeffs[:top - self.lead + 1], self.lead)
         if top >= 0:
