@@ -93,12 +93,26 @@ def _check_order(order: int) -> None:
 
 
 def pi_series(order: int) -> RationalSeries:
-    """The analytic period: coefficient of x^N is
-    sum_{k+l+m=N} (2N)!/(k! l! m!)^2, computed by the multinomial form with
-    the sum over l collapsed by Vandermonde's identity,
-    sum_l C(N-k, l)^2 = C(2(N-k), N-k).  The binomials C(N, k) are one row
-    of Pascal's triangle, updated from the row before."""
+    """The analytic period by the multinomial form (``_multinomial``), read
+    from the stored series ``_PI_SUM``.  The coefficient of x^N does not
+    depend on the order asked, so a prefix of the stored series equals a
+    fresh computation at the lower order.  This oracle never reads the layer
+    store that ``pi_series_by_recurrence`` reads, so the two stay
+    independent routes."""
+    global _PI_SUM
     _check_order(order)
+    stored = _PI_SUM
+    if stored.top < order:
+        stored = _PI_SUM = _multinomial(order)
+    return stored.truncate(order)
+
+
+def _multinomial(order: int) -> RationalSeries:
+    """The analytic period through x^order: coefficient of x^N is
+    sum_{k+l+m=N} (2N)!/(k! l! m!)^2, with the sum over l collapsed by
+    Vandermonde's identity, sum_l C(N-k, l)^2 = C(2(N-k), N-k).  The
+    binomials C(N, k) are one row of Pascal's triangle, updated from the row
+    before."""
     central = [comb(2 * j, j) for j in range(order + 1)]
     row = [1]
     out = []
@@ -125,6 +139,12 @@ _SHIFT = RationalSeries._from_ints([0])
 # x^2 {t, x} through the highest order asked so far, stored like _SHIFT; it
 # starts as its constant term 1/2
 _SCHWARZ = RationalSeries._from_ints([1], 2)
+# the multinomial period (pi_series) through the highest order asked so far,
+# stored like _SHIFT; it starts as its constant term 1
+_PI_SUM = RationalSeries._from_ints([1])
+# x(q) (mirror_map) through q^(N + 1) for the highest order N asked so far,
+# stored like _SHIFT; it starts as its first term q
+_X_OF_Q = RationalSeries._from_ints([1], 1, 1)
 
 
 def _frobenius_layers(order: int, count: int = 3) -> list[RationalSeries]:
@@ -219,20 +239,31 @@ def _eta_quotient(top: int, sign: int) -> list[int]:
 
 
 def mirror_map(order: int) -> MirrorMap:
-    """Exact mirror map data through the given order; x_of_q = q + O(q^2).
-
-    x(q) is a Hauptmodul of Gamma_0(6)+ (Lian-Yau, hep-th/9507151): with the
-    eta quotient s = q P of ``_eta_quotient``, x = s / (1 + 20 s + 64 s^2),
-    that is q / (1/P + 20 q + 64 q^2 P), through q^(order + 1)."""
+    """Exact mirror map data through the given order; x_of_q = q + O(q^2),
+    through q^(order + 1).  Both parts are read from stored series
+    (``_log_shift`` and ``_X_OF_Q``): x through q^(N + 1) depends only on the
+    eta quotients through q^N, so a prefix of the stored x(q) equals a fresh
+    ``_x_of_q`` at the lower order."""
+    global _X_OF_Q
     if order < 4:
         raise ValueError("order must be at least 4")
     h = _log_shift(order)
+    stored = _X_OF_Q
+    if stored.top < order + 1:
+        stored = _X_OF_Q = _x_of_q(order)
+    return MirrorMap(log_shift=h, x_of_q=stored.truncate(order + 1))
+
+
+def _x_of_q(order: int) -> RationalSeries:
+    """x(q) through q^(order + 1).  x is a Hauptmodul of Gamma_0(6)+
+    (Lian-Yau, hep-th/9507151): with the eta quotient s = q P of
+    ``_eta_quotient``, x = s / (1 + 20 s + 64 s^2), that is
+    q / (1/P + 20 q + 64 q^2 P)."""
     p, u = _eta_quotient(order, 1), _eta_quotient(order, -1)
     u[1] += 20
     for k in range(2, order + 1):
         u[k] += 64 * p[k - 2]
-    x_of_q = RationalSeries._from_ints([1] + [0] * order, 1, 1) / RationalSeries._from_ints(u)
-    return MirrorMap(log_shift=h, x_of_q=x_of_q)
+    return RationalSeries._from_ints([1] + [0] * order, 1, 1) / RationalSeries._from_ints(u)
 
 
 # -- Schwarzian and standard form ---------------------------------------------
@@ -440,6 +471,8 @@ _FALLING = ((1,), (0, 1), (0, -1, 1), (0, 2, -3, 1))
 # floats: they grow like 36^k and pass 1e308 at k = 198
 _MAX_FLOAT_ORDER = 197
 _IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+# the singular points as floats, read by every step of solve_ivp
+_SINGULAR_FLOATS = tuple(float(p) for p in SINGULAR_POINTS)
 
 
 class MonodromyResult(Frozen):
@@ -512,61 +545,94 @@ def _step_recurrence(c: complex, h: complex) -> list[list[complex]]:
 
 
 def _taylor_step(states, c: complex, h: complex):
-    """Carry the states (y, y', y'') of solutions from c to c + h; returns
-    the new states and the number of Taylor terms summed.
+    """Carry the states (y, y', y'') of a fundamental system, exactly three
+    solutions, from c to c + h; returns the three new states and the number
+    of Taylor terms summed per solution.  Any other number of states raises
+    ValueError.
 
-    The stopping rule is a heuristic, not a bound: the series of a solution
-    is cut once two consecutive terms b_n fall below _TERM_EPS times the
-    largest of its b_0, b_1, b_2, as the later terms shrink about
+    b_n = w_0 b_(n-5) + .. + w_4 b_(n-1) for n >= 3, with the weights
+    w_s = E_s(n-5+s) / (n(n-1)(n-2)) of ``_step_recurrence`` in Horner form;
+    each solution keeps its last five terms at hand and all of them for the
+    closing sums, which run from the top term down.
+
+    The stopping rule is a heuristic, not a bound: the series are cut once
+    two consecutive terms b_n of every solution fall below _TERM_EPS times
+    the largest of its b_0, b_1, b_2, as the later terms shrink about
     geometrically when |h| is a third of the radius of convergence."""
-    rec = _step_recurrence(c, h)
-    # each solution's b_0 .. b_n, after two zeros that stand for b_(-2), b_(-1)
-    series = [[0j, 0j, y, yp * h, ypp * h * h / 2] for y, yp, ypp in states]
-    limits = [_TERM_EPS * max(abs(b[2]), abs(b[3]), abs(b[4])) for b in series]
-    quiet = 0
+    (y0, yp0, ypp0), (y1, yp1, ypp1), (y2, yp2, ypp2) = states
+    ((r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23),
+     (r30, r31, r32, r33), (r40, r41, r42, r43)) = _step_recurrence(c, h)
+    # the last five terms b_(n-5) .. b_(n-1) of each solution, after two
+    # zeros that stand for b_(-2), b_(-1)
+    a0, a1, a2, a3, a4 = 0j, 0j, y0, yp0 * h, ypp0 * h * h / 2
+    b0, b1, b2, b3, b4 = 0j, 0j, y1, yp1 * h, ypp1 * h * h / 2
+    d0, d1, d2, d3, d4 = 0j, 0j, y2, yp2 * h, ypp2 * h * h / 2
+    za, zb, zd = [a2, a3, a4], [b2, b3, b4], [d2, d3, d4]
+    la = _TERM_EPS * max(abs(a2), abs(a3), abs(a4))
+    lb = _TERM_EPS * max(abs(b2), abs(b3), abs(b4))
+    ld = _TERM_EPS * max(abs(d2), abs(d3), abs(d4))
+    quiet = False
     for n in range(3, _MAX_TERMS):
         inv = 1 / (n * (n - 1) * (n - 2))
-        w0, w1, w2, w3, w4 = [(((e[3] * m + e[2]) * m + e[1]) * m + e[0]) * inv
-                              for m, e in zip(range(n - 5, n), rec)]
-        small = True
-        for b, limit in zip(series, limits):
-            # b[n-3] is b_(n-5)
-            t = w0 * b[n - 3] + w1 * b[n - 2] + w2 * b[n - 1] + w3 * b[n] + w4 * b[n + 1]
-            b.append(t)
-            small = small and abs(t) <= limit
-        quiet = quiet + 1 if small else 0
-        if quiet == 2:
-            break
+        m = n - 5
+        w0 = (((r03 * m + r02) * m + r01) * m + r00) * inv
+        m += 1
+        w1 = (((r13 * m + r12) * m + r11) * m + r10) * inv
+        m += 1
+        w2 = (((r23 * m + r22) * m + r21) * m + r20) * inv
+        m += 1
+        w3 = (((r33 * m + r32) * m + r31) * m + r30) * inv
+        m += 1
+        w4 = (((r43 * m + r42) * m + r41) * m + r40) * inv
+        ta = w0 * a0 + w1 * a1 + w2 * a2 + w3 * a3 + w4 * a4
+        tb = w0 * b0 + w1 * b1 + w2 * b2 + w3 * b3 + w4 * b4
+        td = w0 * d0 + w1 * d1 + w2 * d2 + w3 * d3 + w4 * d4
+        za.append(ta)
+        zb.append(tb)
+        zd.append(td)
+        a0, a1, a2, a3, a4 = a1, a2, a3, a4, ta
+        b0, b1, b2, b3, b4 = b1, b2, b3, b4, tb
+        d0, d1, d2, d3, d4 = d1, d2, d3, d4, td
+        if abs(ta) <= la and abs(tb) <= lb and abs(td) <= ld:
+            if quiet:
+                break
+            quiet = True
+        else:
+            quiet = False
     else:
         raise ToleranceNotMet(f"Taylor series at {c:.6g} did not converge "
                               f"within {_MAX_TERMS} terms")
-    out = []
-    for b in series:
-        y = yp = ypp = 0j
-        for k in range(len(b) - 1, 1, -1):
-            y += b[k]
-            yp += (k - 2) * b[k]
-            ypp += (k - 2) * (k - 3) * b[k]
-        out.append((y, yp / h, ypp / (h * h)))
-    return out, len(b) - 2
+    return (_closing_sums(za, h), _closing_sums(zb, h), _closing_sums(zd, h)), len(za)
+
+
+def _closing_sums(b, h: complex):
+    """The state (y, y', y'') at c + h from the scaled terms b_0 .. b_n,
+    summed from the top term down."""
+    y = yp = ypp = 0j
+    for k in range(len(b) - 1, -1, -1):
+        t = b[k]
+        y += t
+        yp += k * t
+        ypp += k * (k - 1) * t
+    return y, yp / h, ypp / (h * h)
 
 
 class LegSolution(Frozen):
-    __slots__ = ("states",   # the states (y, y', y'') at the end of the leg
+    __slots__ = ("states",   # the three states (y, y', y'') at the end of the leg
                  "nfev")     # Taylor terms summed, per solution
 
 
 def solve_ivp(leg, states) -> LegSolution:
-    """Carry the states (y, y', y'') of solutions along a polygonal leg, given
-    by its vertices.  Each step reaches at most _STEP_FRACTION of the distance
-    from its centre to the nearest singular point.  The transport calls this
-    through the module-level name, so a replacement bound here from outside
-    is what runs."""
+    """Carry the states (y, y', y'') of three solutions along a polygonal
+    leg, given by its vertices.  Each step reaches at most _STEP_FRACTION of
+    the distance from its centre to the nearest singular point.  The
+    transport calls this through the module-level name, so a replacement
+    bound here from outside is what runs."""
     terms = 0
     c = leg[0]
     for z in leg[1:]:
         while c != z:
-            reach = _STEP_FRACTION * min(abs(c - float(p)) for p in SINGULAR_POINTS)
+            reach = _STEP_FRACTION * min(abs(c - p) for p in _SINGULAR_FLOATS)
             if abs(z - c) <= reach:
                 h, nxt = z - c, z
             else:
@@ -586,9 +652,9 @@ def _circle(center: complex, radius: float, start_angle: float = math.pi):
 
 
 def _transport(legs, states=_IDENTITY):
-    """The states (y, y', y'') of solutions carried along the legs.  From the
-    identity (the unit states), row j of the result is column j of the
-    fundamental matrix of the companion system."""
+    """The states (y, y', y'') of three solutions carried along the legs.
+    From the identity (the unit states), row j of the result is column j of
+    the fundamental matrix of the companion system."""
     for leg in legs:
         states = solve_ivp(leg, states).states
     return states

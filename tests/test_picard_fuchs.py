@@ -1,10 +1,12 @@
 import cmath
+import importlib.util
 import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -188,6 +190,124 @@ def test_stored_log_shift_grows_only_on_a_higher_order(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         _log_shift(31)
     assert picard_fuchs._SHIFT is stored
+
+
+def test_stored_pi_series_matches_the_multinomial(monkeypatch):
+    # the store starts as the constant term 1, which is the period through x^0
+    empty = RationalSeries._from_ints([1])
+    assert _fields(empty) == _fields(picard_fuchs._multinomial(0))
+    fresh = {n: _fields(picard_fuchs._multinomial(n)) for n in range(201)}
+    # descending, the first request fills the store; ascending, each one replaces it
+    for orders in (range(200, -1, -1), range(201)):
+        monkeypatch.setattr(picard_fuchs, "_PI_SUM", empty)
+        for n in orders:
+            got = pi_series(n)
+            assert _fields(got) == fresh[n], n
+            assert got is not picard_fuchs._PI_SUM
+    assert picard_fuchs._PI_SUM.top == 200
+
+
+def test_stored_pi_series_grows_only_on_a_higher_order(monkeypatch):
+    monkeypatch.setattr(picard_fuchs, "_PI_SUM", RationalSeries._from_ints([1]))
+    pi_series(30)
+    stored = picard_fuchs._PI_SUM
+    pi_series(12)
+    pi_series(30)
+    assert picard_fuchs._PI_SUM is stored and stored.top == 30
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    # comb builds the central binomials inside _multinomial
+    monkeypatch.setattr(picard_fuchs, "comb", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        pi_series(31)
+    assert picard_fuchs._PI_SUM is stored
+
+
+def test_stored_x_of_q_matches_the_eta_product(monkeypatch):
+    fresh = {n: _fields(picard_fuchs._x_of_q(n)) for n in range(4, 201)}
+    assert all(fresh[n][3] == n + 1 for n in fresh)
+    # descending, the first request fills the store; ascending, each one replaces it
+    for orders in (range(200, 3, -1), range(4, 201)):
+        monkeypatch.setattr(picard_fuchs, "_X_OF_Q", RationalSeries._from_ints([1], 1, 1))
+        for n in orders:
+            got = mirror_map(n).x_of_q
+            assert _fields(got) == fresh[n], n
+            assert got is not picard_fuchs._X_OF_Q
+    assert picard_fuchs._X_OF_Q.top == 201
+
+
+def test_stored_x_of_q_grows_only_on_a_higher_order(monkeypatch):
+    monkeypatch.setattr(picard_fuchs, "_X_OF_Q", RationalSeries._from_ints([1], 1, 1))
+    mirror_map(30)
+    stored = picard_fuchs._X_OF_Q
+    mirror_map(12)
+    mirror_map(30)
+    assert picard_fuchs._X_OF_Q is stored and stored.top == 31
+
+    def interrupted(top, sign):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(picard_fuchs, "_eta_quotient", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        mirror_map(31)
+    assert picard_fuchs._X_OF_Q is stored
+
+
+def _refused(*args):
+    raise AssertionError("the other oracle's route was taken")
+
+
+def test_the_period_oracles_are_independent_routes(monkeypatch):
+    monkeypatch.setattr(picard_fuchs, "_PI_SUM", RationalSeries._from_ints([1]))
+    monkeypatch.setattr(picard_fuchs, "_LAYERS", [[[1], 1], [[0], 1], [[0], 1]])
+    with monkeypatch.context() as m:
+        m.setattr(picard_fuchs, "_extend_layers", _refused)
+        by_sum = pi_series(150)
+    assert picard_fuchs._LAYERS[0][0] == [1]
+    with monkeypatch.context() as m:
+        m.setattr(picard_fuchs, "_multinomial", _refused)
+        by_rec = pi_series_by_recurrence(150)
+    assert picard_fuchs._PI_SUM.top == 150
+    assert by_sum.eq_through(by_rec, 150)
+
+
+def _perfbench_checks():
+    """perfbench/checks.py, loaded from its file without writing bytecode."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "checks.py")
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+@pytest.mark.parametrize("store", ["_PI_SUM", "_LAYERS"])
+def test_a_planted_coefficient_in_either_oracle_is_caught(monkeypatch, store):
+    checks, m = _perfbench_checks(), 120
+    op = SimpleNamespace(kind="pi_series", args=(m,))
+    # both stores reach past the planted coefficient 100
+    pi_series(150)
+    pi_series_by_recurrence(150)
+    out = pi_series(m), pi_series_by_recurrence(m)
+    assert checks.check_periods(picard_fuchs, op, out) is None
+    if store == "_PI_SUM":
+        nums = list(picard_fuchs._PI_SUM.nums)
+        nums[100] += 1
+        monkeypatch.setattr(picard_fuchs, "_PI_SUM", RationalSeries._from_ints(nums))
+    else:
+        layers = [[list(nums), den] for nums, den in picard_fuchs._LAYERS]
+        layers[0][0][100] += 1
+        monkeypatch.setattr(picard_fuchs, "_LAYERS", layers)
+    out = pi_series(m), pi_series_by_recurrence(m)
+    assert not out[0].eq_through(out[1], m)
+    assert checks.check_periods(picard_fuchs, op, out) == \
+        "multinomial and recurrence period series disagree"
 
 
 def _eta_float(q, terms=200):
@@ -817,3 +937,86 @@ def test_taylor_step_beyond_convergence_fails():
     # from 1/100 the series converges only within 1/100 of the centre
     with pytest.raises(ToleranceNotMet, match="did not converge"):
         _taylor_step(_IDENTITY, 1 / 100, 0.02)
+
+
+# -- the former Taylor kernel, kept as a reference --------------------------------
+
+def _taylor_step_reference(states, c, h):
+    """The former _taylor_step: any number of states, each solution's terms
+    in one list read by index, the five weights from a list comprehension."""
+    rec = picard_fuchs._step_recurrence(c, h)
+    series = [[0j, 0j, y, yp * h, ypp * h * h / 2] for y, yp, ypp in states]
+    limits = [picard_fuchs._TERM_EPS * max(abs(b[2]), abs(b[3]), abs(b[4])) for b in series]
+    quiet = 0
+    for n in range(3, picard_fuchs._MAX_TERMS):
+        inv = 1 / (n * (n - 1) * (n - 2))
+        w0, w1, w2, w3, w4 = [(((e[3] * m + e[2]) * m + e[1]) * m + e[0]) * inv
+                              for m, e in zip(range(n - 5, n), rec)]
+        small = True
+        for b, limit in zip(series, limits):
+            t = w0 * b[n - 3] + w1 * b[n - 2] + w2 * b[n - 1] + w3 * b[n] + w4 * b[n + 1]
+            b.append(t)
+            small = small and abs(t) <= limit
+        quiet = quiet + 1 if small else 0
+        if quiet == 2:
+            break
+    else:
+        raise ToleranceNotMet("did not converge")
+    out = []
+    for b in series:
+        y = yp = ypp = 0j
+        for k in range(len(b) - 1, 1, -1):
+            y += b[k]
+            yp += (k - 2) * b[k]
+            ypp += (k - 2) * (k - 3) * b[k]
+        out.append((y, yp / h, ypp / (h * h)))
+    return out, len(b) - 2
+
+
+def _bits(states):
+    """The states as the hex images of their parts, so that -0.0 and 0.0 differ."""
+    return tuple(tuple((complex(v).real.hex(), complex(v).imag.hex()) for v in s)
+                 for s in states)
+
+
+def test_taylor_step_matches_the_former_kernel():
+    rng = random.Random(26)
+    singular = [float(p) for p in SINGULAR_POINTS]
+    for _ in range(300):
+        c = complex(rng.uniform(-0.1, 0.4), rng.uniform(-0.1, 0.1))
+        reach = picard_fuchs._STEP_FRACTION * min(abs(c - p) for p in singular)
+        h = reach * rng.uniform(0.05, 1.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        states = [tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3))
+                  for _ in range(3)]
+        got, n = _taylor_step(states, c, h)
+        want, n_want = _taylor_step_reference(states, c, h)
+        assert got == tuple(want) and n == n_want, (c, h)
+        assert _bits(got) == _bits(want), (c, h)
+
+
+_LEG_BASEPOINTS = [1 / 200, 1 / 150, 1 / 120, 1 / 100, 1 / 90, 1 / 80, 1 / 75, 1 / 70, 1 / 50,
+                   1 / 47]
+
+
+@pytest.mark.parametrize("basepoint", _LEG_BASEPOINTS)
+@pytest.mark.parametrize("point", SINGULAR_POINTS)
+def test_every_leg_matches_the_former_kernel(monkeypatch, point, basepoint):
+    # from the unit states along the whole loop, and from the Frobenius states
+    # at the basepoint, as numeric_monodromy starts
+    w = _frobenius_initial_matrix(48, basepoint)
+    for start in (_IDENTITY, w):
+        got, want = start, start
+        for leg in _loop_legs(point, basepoint):
+            sol = solve_ivp(leg, got)
+            with monkeypatch.context() as m:
+                m.setattr(picard_fuchs, "_taylor_step", _taylor_step_reference)
+                ref = solve_ivp(leg, want)
+            assert _bits(sol.states) == _bits(ref.states) and sol.nfev == ref.nfev, leg
+            got, want = sol.states, ref.states
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_taylor_step_carries_exactly_three_states(count):
+    states = [(1.0, 0.0, 0.0)] * count
+    with pytest.raises(ValueError):
+        _taylor_step(states, 1 / 100, 1 / 400)
