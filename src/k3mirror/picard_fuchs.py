@@ -19,9 +19,9 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
-from math import comb, lcm
-from operator import add, mul
+from itertools import compress, count, repeat
+from math import comb, gcd, lcm
+from operator import add, mul, ne
 
 from ._frozen import Frozen
 from .series import LogSeries, RationalSeries, _push
@@ -83,6 +83,18 @@ def _polyval(q: tuple[int, ...], n: int | complex) -> int | complex:
 
 def _pderiv(p):
     return tuple(i * p[i] for i in range(1, len(p))) or (0,)
+
+
+def _poly_mul(*ps) -> list[int]:
+    """The product of int polynomials, low degree first."""
+    out = [1]
+    for p in ps:
+        prod = [0] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p):
+                prod[i + j] += a * b
+        out = prod
+    return out
 
 
 def _check_order(order: int) -> None:
@@ -276,10 +288,7 @@ class SeriesCheck(Frozen):
 
 _SCHWARZIAN_NUMERATOR = (1, -52, 1500, -6048, 15552)
 _DISC = tuple(q[-1] for q in _Q)   # the theta^3 column: (1 - 36x)(1 - 4x)
-# 2 disc^2, low degree first
-_TWICE_DISC_SQ = tuple(2 * sum(_DISC[i] * _DISC[k - i] for i in range(len(_DISC))
-                               if 0 <= k - i < len(_DISC))
-                       for k in range(2 * len(_DISC) - 1))
+_TWICE_DISC_SQ = tuple(_poly_mul((2,), _DISC, _DISC))   # 2 disc^2, low degree first
 
 # z = 48x/(12x+1) sends the singular points (0, 1/36, 1/4, oo) to (0, 1, 3, 4)
 _STANDARD_POINTS = (0, 1, 3, 4)
@@ -314,15 +323,31 @@ def _schwarzian(order: int) -> RationalSeries:
 
 
 def _compare(lhs: RationalSeries, nums, den: int, order: int) -> SeriesCheck:
-    """lhs against the exact coefficients nums[k] / den, k = 0 .. order.  Each
-    int numerator of lhs is compared with nums[k] by cross-multiplication;
-    Fractions are built only to report the first mismatch."""
+    """lhs against the exact coefficients nums[k] / den, k = 0 .. order, with
+    nums read as zero past its end.  One lazy pass cross-multiplies the int
+    numerators of lhs with nums and stops at the first difference; Fractions
+    are built only to report it."""
     lhs.coeff(order)   # refuses an order past the truncation of lhs
-    for k, x in enumerate(lhs._nums_from(0, order)):
-        if x * den != nums[k] * lhs.den:
-            got, want = Fraction(x, lhs.den), Fraction(nums[k], den)
-            return SeriesCheck(False, order, (k, str(got), str(want)))
-    return SeriesCheck(True, order)
+    got = lhs._nums_from(0, order)
+    want = [*nums[:order + 1], *repeat(0, order + 1 - len(nums))]
+    differs = map(ne, map(mul, got, repeat(den)), map(mul, want, repeat(lhs.den)))
+    k = next(compress(count(), differs), None)
+    if k is None:
+        return SeriesCheck(True, order)
+    return SeriesCheck(False, order,
+                       (k, str(Fraction(got[k], lhs.den)), str(Fraction(want[k], den))))
+
+
+def _times_poly(s: RationalSeries, p, top: int) -> RationalSeries:
+    """s p through x^top, for a power series s and an int polynomial p (low
+    degree first): one linear pass over the numerators of s per nonzero
+    coefficient of p."""
+    nums = s._nums_from(0, top)
+    out = [0] * (top + 1)
+    for j, c in enumerate(p[:top + 1]):
+        if c:
+            out[j:] = map(add, out[j:], [c * x for x in nums[:top + 1 - j]])
+    return RationalSeries._from_ints(out, s.den)
 
 
 def schwarzian_check(order: int) -> SeriesCheck:
@@ -331,17 +356,8 @@ def schwarzian_check(order: int) -> SeriesCheck:
     x^2 {t,x} read from the stored series (``_schwarzian``)."""
     if order < 8:
         raise ValueError("order must be at least 8")
-    lhs = _times_twice_disc_sq(_schwarzian(order), order)
-    return _compare(lhs, _SCHWARZIAN_NUMERATOR + (0,) * (order - 4), 1, order)
-
-
-def _times_twice_disc_sq(s: RationalSeries, top: int) -> RationalSeries:
-    """s 2 disc^2 through x^top, for a power series s: one linear pass that
-    convolves the numerators of s with the five coefficients of 2 disc^2."""
-    nums = s._nums_from(0, top)
-    return RationalSeries._from_ints(
-        [sum(c * nums[k - j] for j, c in enumerate(_TWICE_DISC_SQ) if j <= k)
-         for k in range(top + 1)], s.den)
+    lhs = _times_poly(_schwarzian(order), _TWICE_DISC_SQ, order)
+    return _compare(lhs, _SCHWARZIAN_NUMERATOR, 1, order)
 
 
 def _mirror_map_check(x: RationalSeries, order: int) -> SeriesCheck:
@@ -357,76 +373,57 @@ def _mirror_map_check(x: RationalSeries, order: int) -> SeriesCheck:
     for c in reversed(_SCHWARZIAN_NUMERATOR):
         quartic = quartic * x + c
     lhs = disc * disc * (w.theta() - w * w * Fraction(1, 2)) * 2 + r * r * quartic
-    return _compare(lhs, (0,) * (order + 1), 1, order)
+    return _compare(lhs, (), 1, order)
 
 
-def _standard_chart(s: RationalSeries, top: int) -> RationalSeries:
-    """s(x(z)) / (1 - z/4)^2 through z^top, for a power series s and the chart
-    x(z) = (z/48)/(1 - z/4), over the denominator s.den 12^top 4^top.
+@cache
+def _standard_in_x(points, alpha, beta) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Int polynomials N, D, low degree first, with N/D = (1+12x)^-2 R(z(x)):
+    the standard form's right-hand side
+    R(z) = sum_i [c_i z^2/(z-a_i)^2 + beta_i z^2/(z-a_i)], c_i = (1-alpha_i^2)/2,
+    in the x chart z = 48x/(1+12x).
 
-    With u = z/4 and v = u/(1 - u), x = v/12, so the sum is
-    sum_k s_k v^k / 12^k over (1 - u)^2.  Horner in v runs on the numerators
-    of s: B <- 12^(top-k) s_k + v B for k = top .. 0, where multiplying by v
-    is a prefix sum (1/(1 - u)) shifted by one (u).  The term of index k is
-    later multiplied by v^k, so B is kept only through u^(top-k).  Two more
-    prefix sums divide by (1 - u)^2, and u^m = z^m / 4^m is scaled by
-    4^(top-m) onto the common denominator."""
-    nums = s._nums_from(0, top)
-    b, p = [nums[top]], 1
-    for k in range(top - 1, -1, -1):
-        p *= 12
-        b = [p * nums[k], *accumulate(b)]
-    return RationalSeries._from_ints(
-        [x << 2 * (top - m) for m, x in enumerate(accumulate(accumulate(b)))],
-        s.den * 12 ** top * 4 ** top)
-
-
-def _standard_rhs(order: int) -> tuple[list[int], int]:
-    """The coefficients of z^0 .. z^order of
-    z^2 sum_i [c_i/(z-a_i)^2 + beta_i/(z-a_i)], c_i = (1-alpha_i^2)/2, with the
-    points a_i, the exponents alpha_i and the accessory parameters beta_i read
-    from _STANDARD_POINTS, _STANDARD_ALPHA and _STANDARD_BETA.  They are int
-    numerators over D = m A^order, where A is the lcm of the nonzero points and
-    m the lcm of the denominators of the c_i and beta_i.
-
-    A point 0 adds c to z^0 and beta to z^1.  A point a != 0 adds
-    c (j-1)/a^j - beta/a^(j-1) to z^j for j >= 2; with r = A/a, so that
-    1/a^j = r^j / A^j, its numerator over D is
-    r^(j-1) A^(order-j) (m c (j-1) r - m beta A)."""
-    consts = [(Fraction(1 - alpha * alpha, 2), Fraction(beta))
-              for alpha, beta in zip(_STANDARD_ALPHA, _STANDARD_BETA)]
+    There z - a = L_a/(1+12x) with L_a = (48-12a)x - a, and
+    z^2 = 48^2 x^2/(1+12x)^2.  Over D = m (1+12x)^3 prod_(a_j != 0) L_(a_j)^2,
+    with m the lcm of the denominators of the c_i and beta_i, the point a_i adds
+    m (c_i (1+12x) + beta_i L_(a_i)) prod_(j != i, a_j != 0) L_(a_j)^2 to N,
+    times 48^2 x^2 when a_i != 0.  Both are divided by the gcd of all their
+    coefficients and lose their trailing zeros (L_4 is the constant -4)."""
+    consts = [(Fraction(1 - e * e, 2), Fraction(b)) for e, b in zip(alpha, beta)]
     m = lcm(*(x.denominator for pair in consts for x in pair))
-    big_a = lcm(*(a for a in _STANDARD_POINTS if a))
-    a_pow = [big_a ** e for e in range(order + 1)]
-    nums = [0] * (order + 1)
-    for a, (c, beta) in zip(_STANDARD_POINTS, consts):
-        mc, mbeta = int(m * c), int(m * beta)
-        if not a:
-            nums[0] += mc * a_pow[order]
-            nums[1] += mbeta * a_pow[order]
-            continue
-        r, r_pow = big_a // a, 1
-        for j in range(2, order + 1):
-            r_pow *= r
-            nums[j] += r_pow * a_pow[order - j] * (mc * (j - 1) * r - mbeta * big_a)
-    return nums, m * a_pow[order]
+    lins = [(-a, 48 - 12 * a) for a in points]
+    squares = {j: _poly_mul(lin, lin) for j, lin in enumerate(lins) if points[j]}
+    den = _poly_mul((m,), (1, 12), (1, 12), (1, 12), *squares.values())
+    num = [0] * len(den)
+    for i, (a, lin, (c, b)) in enumerate(zip(points, lins, consts)):
+        mc, mb = int(m * c), int(m * b)
+        term = _poly_mul((mc + mb * lin[0], 12 * mc + mb * lin[1]), (0, 0, 48 * 48) if a else (1,),
+                         *(sq for j, sq in squares.items() if j != i))
+        for k, v in enumerate(term):
+            num[k] += v
+    g = gcd(*num, *den)
+    num, den = [v // g for v in num], [v // g for v in den]
+    for p in (num, den):
+        while len(p) > 1 and not p[-1]:
+            p.pop()
+    return tuple(num), tuple(den)
 
 
 def standard_form_check(order: int) -> SeriesCheck:
-    """Expand {t,z} around z = 0 in the chart z = 48x/(12x+1) and compare with
-    sum_i [ (1/2)(1-alpha_i^2)/(z-a_i)^2 + beta_i/(z-a_i) ] for the points
-    (0,1,3,4); the chart change is a Mobius map, so {z,x} contributes zero to
-    the Schwarzian cocycle.  The right-hand side is read from the singular-point
-    data _STANDARD_POINTS, _STANDARD_ALPHA and _STANDARD_BETA as int numerators
-    over one denominator D = m A^order (``_standard_rhs``: A is the lcm of the
-    nonzero points, m that of the denominators of the constants), and
-    z^2 {t,z}, the stored x^2 {t,x} (``_schwarzian``) carried to the chart by
-    ``_standard_chart``, is compared with it by cross-multiplication."""
+    """The standard form z^2 {t,z} = R(z) at the singular points (0, 1, 3, 4)
+    of the chart z = 48x/(12x+1), checked through the given order in the x
+    chart: R, read from _STANDARD_POINTS, _STANDARD_ALPHA and _STANDARD_BETA,
+    is carried back as N(x)/D(x) by ``_standard_in_x``.  The chart is Mobius,
+    so {z,x} = 0, and with dz/dx = 48/(1+12x)^2 the cocycle gives
+    z^2 {t,z} = (1+12x)^2 x^2 {t,x}.  The stored x^2 {t,x} (``_schwarzian``)
+    times D is compared with N.  D(0) != 0, so x^2 {t,x} D - N vanishes through
+    x^order exactly when x^2 {t,x} - N/D does; and since z(0) = 0, z'(0) = 48
+    and (1+12x)^-2 is a unit, that holds exactly when z^2 {t,z} - R(z) vanishes
+    through z^order, with the same first nonzero power in both charts."""
     if order < 8:
         raise ValueError("order must be at least 8")
-    # z^2 {t,z} = (z/x)^2 (dx/dz)^2 x^2 {t,x}, and (z/x)(dx/dz) = 1/(1 - z/4)
-    lhs = _standard_chart(_schwarzian(order), order)
-    return _compare(lhs, *_standard_rhs(order), order)
+    nums, den = _standard_in_x(_STANDARD_POINTS, _STANDARD_ALPHA, _STANDARD_BETA)
+    return _compare(_times_poly(_schwarzian(order), den, order), nums, 1, order)
 
 
 # -- theta form to d/dx form ---------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,11 +29,10 @@ from k3mirror.picard_fuchs import (
     _mirror_map_check,
     _schwarzian,
     _schwarzian_of,
-    _standard_chart,
-    _standard_rhs,
+    _standard_in_x,
     _taylor_step,
     _theta_t,
-    _times_twice_disc_sq,
+    _times_poly,
     _transport,
     apply_operator,
     dform_coefficients,
@@ -490,12 +490,29 @@ def test_both_checks_share_one_schwarzian(monkeypatch):
     assert calls == [30]
 
 
-def test_linear_disc_product_matches_series_products():
+def _standard_n_d():
+    return _standard_in_x(picard_fuchs._STANDARD_POINTS, picard_fuchs._STANDARD_ALPHA,
+                          picard_fuchs._STANDARD_BETA)
+
+
+def test_times_poly_matches_series_products():
     assert picard_fuchs._TWICE_DISC_SQ == (2, -160, 3776, -23040, 41472)
+    p = _standard_n_d()[1]
     for n in range(8, 201):
         s = _schwarzian(n)
-        disc = poly(picard_fuchs._DISC, top=n)
-        assert _fields(_times_twice_disc_sq(s, n)) == _fields(s * disc * disc * 2), n
+        d = poly(picard_fuchs._DISC, top=n)
+        assert _fields(_times_poly(s, picard_fuchs._TWICE_DISC_SQ, n)) == _fields(s * d * d * 2), n
+        assert _fields(_times_poly(s, p, n)) == _fields(s * poly(p, top=n)), n
+    # leading zeros, a lead above 0, and a top below len(p)
+    for s in (RationalSeries([0, 0, Fraction(3, 7), -2, 5, Fraction(1, 11)]),
+              RationalSeries([Fraction(3, 7), -2, 5, Fraction(1, 11)], 2)):
+        for top in range(0, s.top + 1):
+            prod = s.truncate(top) * poly(p, top=max(top, len(p) - 1))
+            got = _times_poly(s, p, top)
+            assert (got.lead, got.top) == (0, top) and got.eq_through(prod, top), (s, top)
+    # a zero tap adds nothing
+    s = _schwarzian(20)
+    assert _times_poly(s, (0, 0, 3), 20).eq_through((s * 3).shift(2), 20)
 
 
 @pytest.mark.parametrize("i", range(5))
@@ -573,6 +590,66 @@ def test_monodromy_basepoint_shift_keeps_invariants():
 
 def test_pi_oracles_agree_through_400():
     assert pi_series(400).eq_through(pi_series_by_recurrence(400), 400)
+
+
+def _standard_chart(s, top):
+    """The former chart change of standard_form_check: s(x(z)) / (1 - z/4)^2
+    through z^top, for a power series s and the chart x(z) = (z/48)/(1 - z/4),
+    over the denominator s.den 12^top 4^top.
+
+    With u = z/4 and v = u/(1 - u), x = v/12, so the sum is
+    sum_k s_k v^k / 12^k over (1 - u)^2.  Horner in v runs on the numerators
+    of s: B <- 12^(top-k) s_k + v B for k = top .. 0, where multiplying by v
+    is a prefix sum (1/(1 - u)) shifted by one (u).  The term of index k is
+    later multiplied by v^k, so B is kept only through u^(top-k).  Two more
+    prefix sums divide by (1 - u)^2, and u^m = z^m / 4^m is scaled by
+    4^(top-m) onto the common denominator."""
+    nums = s._nums_from(0, top)
+    b, p = [nums[top]], 1
+    for k in range(top - 1, -1, -1):
+        p *= 12
+        b = [p * nums[k], *accumulate(b)]
+    return RationalSeries._from_ints(
+        [x << 2 * (top - m) for m, x in enumerate(accumulate(accumulate(b)))],
+        s.den * 12 ** top * 4 ** top)
+
+
+def _standard_rhs(order):
+    """The former right-hand side of standard_form_check, in the z chart: the
+    coefficients of z^0 .. z^order of
+    z^2 sum_i [c_i/(z-a_i)^2 + beta_i/(z-a_i)], c_i = (1-alpha_i^2)/2, on the
+    singular-point data the module holds now, as int numerators over
+    D = m A^order, where A is the lcm of the nonzero points and m the lcm of
+    the denominators of the c_i and beta_i.
+
+    A point 0 adds c to z^0 and beta to z^1.  A point a != 0 adds
+    c (j-1)/a^j - beta/a^(j-1) to z^j for j >= 2; with r = A/a, so that
+    1/a^j = r^j / A^j, its numerator over D is
+    r^(j-1) A^(order-j) (m c (j-1) r - m beta A)."""
+    points = picard_fuchs._STANDARD_POINTS
+    consts = [(Fraction(1 - alpha * alpha, 2), Fraction(beta))
+              for alpha, beta in zip(picard_fuchs._STANDARD_ALPHA, picard_fuchs._STANDARD_BETA)]
+    m = math.lcm(*(x.denominator for pair in consts for x in pair))
+    big_a = math.lcm(*(a for a in points if a))
+    a_pow = [big_a ** e for e in range(order + 1)]
+    nums = [0] * (order + 1)
+    for a, (c, beta) in zip(points, consts):
+        mc, mbeta = int(m * c), int(m * beta)
+        if not a:
+            nums[0] += mc * a_pow[order]
+            nums[1] += mbeta * a_pow[order]
+            continue
+        r, r_pow = big_a // a, 1
+        for j in range(2, order + 1):
+            r_pow *= r
+            nums[j] += r_pow * a_pow[order - j] * (mc * (j - 1) * r - mbeta * big_a)
+    return nums, m * a_pow[order]
+
+
+def _standard_form_in_z(order):
+    """The former standard_form_check, in the z chart: z^2 {t,z}, the stored
+    x^2 {t,x} carried to the chart by _standard_chart, against _standard_rhs."""
+    return _compare(_standard_chart(_schwarzian(order), order), *_standard_rhs(order), order)
 
 
 def _standard_chart_by_composition(s, top):
@@ -830,14 +907,105 @@ def test_standard_form_fails_on_changed_data(monkeypatch, name, i, new):
     monkeypatch.setattr(picard_fuchs, name, _replaced(getattr(picard_fuchs, name), i, new))
     nums, den = _standard_rhs(20)
     assert [Fraction(x, den) for x in nums] == _standard_rhs_by_fractions(20)
+    # the x chart and the z chart of the former route fail at one power
+    in_x, in_z = standard_form_check(20), _standard_form_in_z(20)
+    assert not in_x.ok and not in_z.ok
+    power = 1 if (name, i) == ("_STANDARD_BETA", 0) else 2   # beta_0 enters at z^1
+    assert in_x.first_mismatch[0] == in_z.first_mismatch[0] == power
+
+
+def test_the_x_and_z_charts_agree_at_every_order_through_200():
+    for order in range(8, 201):
+        want = SeriesCheck(True, order)
+        assert standard_form_check(order) == _standard_form_in_z(order) == want, order
+
+
+def _planted_schwarzian(monkeypatch, power):
+    """Replace the stored x^2 {t,x} through x^200 by one with 1 added to its
+    numerator at x^power."""
+    _schwarzian(200)
+    stored = picard_fuchs._SCHWARZ
+    nums = list(stored._nums_from(0, stored.top))
+    nums[power] += 1
+    monkeypatch.setattr(picard_fuchs, "_SCHWARZ", RationalSeries._from_ints(nums, stored.den))
+
+
+@pytest.mark.parametrize("power", [0, 1, 2, 3, 7, 40, 150, 199])
+def test_a_planted_schwarzian_fails_both_charts_at_its_power(monkeypatch, power):
+    _planted_schwarzian(monkeypatch, power)
+    for chk in (standard_form_check(200), _standard_form_in_z(200), schwarzian_check(200)):
+        assert not chk.ok and chk.first_mismatch[0] == power, chk
+
+
+def test_a_planted_schwarzian_reports_x_chart_coefficients(monkeypatch):
+    # x^2 {t,x} = 1/2 + ... is stored over 2, so the plant raises x^0 to 1;
+    # the x chart reads 1 D(0) = 2 against N(0) = 1, the z chart 1 against 1/2
+    _planted_schwarzian(monkeypatch, 0)
+    assert standard_form_check(20).first_mismatch == (0, "2", "1")
+    assert _standard_form_in_z(20).first_mismatch == (0, "1", "1/2")
+
+
+def test_changed_data_reach_the_x_chart_through_a_fresh_key(monkeypatch):
+    assert standard_form_check(20).ok
+    before = _standard_in_x.cache_info()
+    beta = _replaced(_STANDARD_BETA, 2, Fraction(1, 4747))   # a value no other test plants
+    monkeypatch.setattr(picard_fuchs, "_STANDARD_BETA", beta)
     chk = standard_form_check(20)
-    assert not chk.ok and chk.first_mismatch is not None
+    after = _standard_in_x.cache_info()
+    assert not chk.ok and chk.first_mismatch[0] == 2
+    assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+    alpha = picard_fuchs._STANDARD_ALPHA
+    assert _standard_n_d() == _standard_in_x.__wrapped__(_STANDARD_POINTS, alpha, beta)
+    assert _standard_n_d() != _standard_in_x(_STANDARD_POINTS, alpha, _STANDARD_BETA)
+
+
+def _poly_product(*ps):
+    out = [1]
+    for p in ps:
+        out = [sum(out[i] * p[k - i] for i in range(len(out)) if 0 <= k - i < len(p))
+               for k in range(len(out) + len(p) - 1)]
+    return tuple(out)
+
+
+def test_standard_form_data_and_the_quartic_are_one_rational_function():
+    nums, den = _standard_n_d()
+    assert nums == (1, -16, 60, 27216, 355968, 539136, -3732480, 26873856)
+    assert den == (2, -88, -1120, 47232, 566784, -1935360, -21897216, 71663616)
+    twice_disc_sq = _poly_product((2,), picard_fuchs._DISC, picard_fuchs._DISC)
+    assert den == _poly_product((1, 12), (1, 12), (1, 12), twice_disc_sq)
+    quartic = picard_fuchs._SCHWARZIAN_NUMERATOR
+    assert _poly_product(nums, twice_disc_sq) == _poly_product(quartic, den)
+
+
+@pytest.mark.parametrize("name, i, new", [
+    ("_STANDARD_ALPHA", 1, Fraction(1, 3)),
+    ("_STANDARD_ALPHA", 3, Fraction(1, 3)),
+    *[("_STANDARD_BETA", i, _STANDARD_BETA[i] + Fraction(1, 7)) for i in range(4)],
+])
+def test_a_planted_exponent_or_accessory_parameter_breaks_the_identity(monkeypatch, name, i, new):
+    monkeypatch.setattr(picard_fuchs, name, _replaced(getattr(picard_fuchs, name), i, new))
+    nums, den = _standard_n_d()
+    twice_disc_sq = _poly_product((2,), picard_fuchs._DISC, picard_fuchs._DISC)
+    quartic = picard_fuchs._SCHWARZIAN_NUMERATOR
+    assert _poly_product(nums, twice_disc_sq) != _poly_product(quartic, den)
 
 
 def test_compare_reports_first_mismatch():
     lhs = poly((1, Fraction(1, 2), 3, 5))
     assert _compare(lhs, (2, 1, 6), 2, 2) == SeriesCheck(True, 2)
     assert _compare(lhs, (1, 0, 4, 5), 1, 3) == SeriesCheck(False, 3, (1, "1/2", "0"))
+
+
+def test_compare_pads_a_short_target_with_zeros():
+    lhs = poly((2, -4, 0, 0, 6))
+    assert _compare(lhs, (4, -8), 2, 3) == SeriesCheck(True, 3)
+    assert _compare(lhs, (4, -8), 2, 4) == SeriesCheck(False, 4, (4, "6", "0"))
+    assert _compare(lhs, (), 1, 0) == SeriesCheck(False, 0, (0, "2", "0"))
+    assert _compare(poly((0, 0, 0)), (), 1, 2) == SeriesCheck(True, 2)
+    # a target longer than order + 1 is read through x^order only
+    assert _compare(lhs, (2, -4, 0, 9), 1, 2) == SeriesCheck(True, 2)
+    with pytest.raises(ValueError):
+        _compare(lhs, (2,), 1, 5)
 
 
 def test_largest_float_order_is_finite():
